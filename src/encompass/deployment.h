@@ -33,7 +33,7 @@ struct FileSpec {
   std::string name;
   storage::FileOrganization organization = storage::FileOrganization::kKeySequenced;
   bool audited = true;
-  storage::FileSchema schema;
+  storage::FileSchema schema{};
 };
 
 /// A disc volume (and its DISCPROCESS pair) to deploy on a node. The volume

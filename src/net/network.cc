@@ -1,7 +1,7 @@
 #include "net/network.h"
 
 #include <cassert>
-#include <deque>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -21,17 +21,19 @@ Network::Metrics::Metrics(sim::Stats& stats)
       route_hops(stats.RegisterHistogram("net.route_hops")) {}
 
 void Network::AddNode(NodeId id, DeliverFn deliver) {
+  assert(deliver);
+  if (id >= nodes_.size()) nodes_.resize(id + 1);
   nodes_[id] = std::move(deliver);
   sim_->EnsureNode(id);  // the node's event loop exists before any traffic
-  // Pre-create the per-source routing table entry: after setup the map's
-  // structure is frozen, so node events (possibly on worker threads) only
-  // ever touch their own node's mapped value.
-  route_tables_[id];
+  // Pre-create the per-source routing table: after setup the table vector
+  // is frozen, so node events (possibly on worker threads) only ever touch
+  // their own node's table.
+  if (id >= route_tables_.size()) route_tables_.resize(id + 1);
   ++topology_version_;
 }
 
 void Network::AddLink(NodeId a, NodeId b, SimDuration latency) {
-  assert(nodes_.count(a) && nodes_.count(b) && a != b);
+  assert(Known(a) && Known(b) && a != b);
   const SimDuration l = latency > 0 ? latency : config_.link_latency;
   links_[Key(a, b)] = Link{l, true};
   // Feed the conservative engine's per-pair lookahead table: no cross-node
@@ -89,12 +91,12 @@ bool Network::LinkUp(NodeId a, NodeId b) const {
 }
 
 bool Network::Reachable(NodeId from, NodeId to) const {
-  if (from == to) return nodes_.count(from) > 0;
-  if (!nodes_.count(from) || !nodes_.count(to)) return false;
-  return TableFor(from).parent.count(to) > 0;
+  if (!Known(from) || !Known(to)) return false;
+  return from == to || TableFor(from).reached[to];
 }
 
 const Network::RouteTable& Network::TableFor(NodeId from) const {
+  assert(Known(from));
   RouteTable& table = route_tables_[from];
   if (table.version == topology_version_) {
     sim_->GetStats().Incr(metrics_.route_cache_hits);
@@ -104,21 +106,28 @@ const Network::RouteTable& Network::TableFor(NodeId from) const {
   // Full BFS over up links builds the min-hop parent forest rooted at `from`;
   // ties break toward smaller node ids because links_ is an ordered map —
   // deterministic routing. Parents are assigned at first discovery, so the
-  // forest yields the same paths a per-query BFS would.
-  table.parent.clear();
-  table.parent[from] = from;
-  std::deque<NodeId> frontier{from};
-  while (!frontier.empty()) {
-    NodeId cur = frontier.front();
-    frontier.pop_front();
+  // forest yields the same paths a per-query BFS would. Each node's path
+  // latency and hop count extend its parent's along the discovering link.
+  const size_t n = nodes_.size();
+  table.reached.assign(n, 0);
+  table.parent.assign(n, from);
+  table.latency.assign(n, 0);
+  table.hops.assign(n, 0);
+  table.reached[from] = 1;
+  std::vector<NodeId> frontier{from};
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId cur = frontier[head];
     for (const auto& [key, link] : links_) {
       if (!link.up) continue;
       NodeId next;
       if (key.a == cur) next = key.b;
       else if (key.b == cur) next = key.a;
       else continue;
-      if (table.parent.count(next)) continue;
+      if (table.reached[next]) continue;
+      table.reached[next] = 1;
       table.parent[next] = cur;
+      table.latency[next] = table.latency[cur] + link.latency;
+      table.hops[next] = static_cast<uint16_t>(table.hops[cur] + 1);
       frontier.push_back(next);
     }
   }
@@ -127,16 +136,13 @@ const Network::RouteTable& Network::TableFor(NodeId from) const {
 }
 
 std::vector<NodeId> Network::Route(NodeId from, NodeId to) const {
-  if (!nodes_.count(from) || !nodes_.count(to)) return {};
+  if (!Known(from) || !Known(to)) return {};
   if (from == to) return {from};
   const RouteTable& table = TableFor(from);
-  auto it = table.parent.find(to);
-  if (it == table.parent.end()) return {};
-  std::vector<NodeId> path{to};
-  for (NodeId n = to; n != from; n = table.parent.at(n)) {
-    path.push_back(table.parent.at(n));
-  }
-  std::reverse(path.begin(), path.end());
+  if (!table.reached[to]) return {};
+  std::vector<NodeId> path(table.hops[to] + 1);
+  NodeId n = to;
+  for (size_t i = path.size(); i-- > 0; n = table.parent[n]) path[i] = n;
   return path;
 }
 
@@ -168,10 +174,16 @@ void Network::Transmit(Message msg, int attempt) {
   // Transmit always runs at the source node: the loss draw comes from the
   // source's PRNG stream and retries are source-local timers, so a message's
   // fate depends only on source-local state (plus the shared topology).
-  auto path = Route(msg.src.node, msg.dst.node);
-  if (path.empty() ||
+  // One routing-table lookup gives both reachability and the path latency
+  // (the same lookups, and route-cache counts, as Route()).
+  const NodeId src = msg.src.node;
+  const NodeId dst = msg.dst.node;
+  const bool known = Known(src) && Known(dst);
+  const RouteTable* table = known && src != dst ? &TableFor(src) : nullptr;
+  const bool routed = known && (table == nullptr || table->reached[dst]);
+  if (!routed ||
       (config_.loss_probability > 0 &&
-       sim_->RngFor(msg.src.node).Bernoulli(config_.loss_probability))) {
+       sim_->RngFor(src).Bernoulli(config_.loss_probability))) {
     // No route now (or the transmission was lost): the end-to-end protocol
     // retries with pacing; after max_retries the sender is notified.
     if (attempt >= config_.max_retries) {
@@ -183,10 +195,9 @@ void Network::Transmit(Message msg, int attempt) {
         fail.tag = kTagSendFailed;
         fail.reply_to = msg.request_id;
         fail.status = Status::Code::kPartitioned;
-        auto it = nodes_.find(msg.src.node);
-        if (it != nodes_.end()) {
+        if (Known(src)) {
           // Local notification at the sender's node: no network traversal.
-          sim_->After(Micros(1), [deliver = it->second, fail]() { deliver(fail); });
+          sim_->After(Micros(1), [deliver = nodes_[src], fail]() { deliver(fail); });
         }
       }
       return;
@@ -199,14 +210,10 @@ void Network::Transmit(Message msg, int attempt) {
     return;
   }
 
-  SimDuration latency = 0;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    auto it = links_.find(Key(path[i], path[i + 1]));
-    latency += (it != links_.end()) ? it->second.latency : config_.link_latency;
-  }
-  sim_->GetStats().Record(metrics_.route_hops, static_cast<int64_t>(path.size() - 1));
+  const SimDuration latency = table != nullptr ? table->latency[dst] : 0;
+  const int64_t hops = table != nullptr ? table->hops[dst] : 0;
+  sim_->GetStats().Record(metrics_.route_hops, hops);
 
-  NodeId dst_node = msg.dst.node;
   // End-to-end verification is split between the two endpoints so that each
   // side only touches its own node's state:
   //   * the packet itself is delivered at the destination iff the topology
@@ -216,25 +223,26 @@ void Network::Transmit(Message msg, int attempt) {
   //     gone, treats the attempt as failed and drives the retransmit (the
   //     pre-split code ran this retransmit logic at the destination).
   // Both events see the same topology version: topology mutations at the
-  // same timestamp are global events that order before node events.
-  sim_->PostToNode(dst_node, latency, [this, msg, dst_node]() mutable {
-    if (!Reachable(dst_node, msg.src.node)) return;  // dead packet
+  // same timestamp are global events that order before node events. So
+  // exactly one of them consumes the message, and it is moved once into a
+  // cell both share. Each reads the cell only when it owns the message; the
+  // endpoints are captured by value for the reachability checks.
+  auto cell = std::make_shared<Message>(std::move(msg));
+  sim_->PostToNode(dst, latency, [this, cell, src, dst]() {
+    if (!Reachable(dst, src)) return;  // dead packet: the probe resends it
     sim_->GetStats().Incr(metrics_.delivered);
-    auto it = nodes_.find(dst_node);
-    if (it != nodes_.end()) it->second(std::move(msg));
+    nodes_[dst](std::move(*cell));
   });
-  sim_->After(latency, [this, msg = std::move(msg), attempt]() mutable {
-    if (!Route(msg.src.node, msg.dst.node).empty()) return;  // delivered
-    Transmit(std::move(msg), attempt + 1);
+  sim_->After(latency, [this, cell = std::move(cell), src, dst, attempt]() {
+    if (Reachable(src, dst)) return;  // delivered
+    Transmit(std::move(*cell), attempt + 1);
   });
 }
 
 std::map<NodeId, std::set<NodeId>> Network::ReachableSets() const {
   std::map<NodeId, std::set<NodeId>> result;
-  for (const auto& [id, fn] : nodes_) {
-    (void)fn;
-    for (const auto& [other, fn2] : nodes_) {
-      (void)fn2;
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    for (NodeId other = 0; other < nodes_.size(); ++other) {
       if (id != other && Reachable(id, other)) result[id].insert(other);
     }
   }
@@ -245,8 +253,8 @@ void Network::NotifyReachabilityChanges(
     const std::map<NodeId, std::set<NodeId>>& before) {
   if (!reachability_fn_) return;
   auto after = ReachableSets();
-  for (const auto& [id, fn] : nodes_) {
-    (void)fn;
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    if (!Known(id)) continue;
     const auto& was = before.count(id) ? before.at(id) : std::set<NodeId>{};
     const auto& now = after.count(id) ? after.at(id) : std::set<NodeId>{};
     for (NodeId peer : was) {

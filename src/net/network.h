@@ -71,7 +71,8 @@ class Network {
   /// Min-hop route from -> to (inclusive of both endpoints); empty if
   /// unreachable or unknown nodes. Served from a per-source routing table
   /// stamped with the topology version; tables recompute lazily after a
-  /// link or node state change (`net.route_cache_hits/misses`).
+  /// link or node state change (`net.route_cache_hits/misses`). Send never
+  /// builds this vector: it reads the table's path latency directly.
   std::vector<NodeId> Route(NodeId from, NodeId to) const;
 
   /// Current topology version; bumps on every link/node state change.
@@ -109,15 +110,20 @@ class Network {
     return a < b ? LinkKey{a, b} : LinkKey{b, a};
   }
 
+  bool Known(NodeId id) const { return id < nodes_.size() && nodes_[id]; }
   void Transmit(Message msg, int attempt);
   void NotifyReachabilityChanges(const std::map<NodeId, std::set<NodeId>>& before);
   std::map<NodeId, std::set<NodeId>> ReachableSets() const;
 
   /// One source node's view of the topology: the BFS parent forest rooted at
-  /// `source`, valid while `version == topology_version_`.
+  /// the source, valid while `version == topology_version_`. Flat vectors
+  /// indexed by NodeId; entries of unreached nodes are meaningless.
   struct RouteTable {
     uint64_t version = 0;
-    std::map<NodeId, NodeId> parent;  ///< discovered node -> parent toward source
+    std::vector<uint8_t> reached;      ///< 1 iff a path of up links exists
+    std::vector<NodeId> parent;        ///< next node back toward the source
+    std::vector<SimDuration> latency;  ///< summed link latency of the path
+    std::vector<uint16_t> hops;        ///< links on the path
   };
 
   /// Returns the (lazily recomputed) routing table for `from`.
@@ -134,11 +140,11 @@ class Network {
   sim::Simulation* sim_;
   NetworkConfig config_;
   Metrics metrics_;
-  std::map<NodeId, DeliverFn> nodes_;
+  std::vector<DeliverFn> nodes_;  ///< by NodeId; empty = not registered
   std::map<LinkKey, Link> links_;
   ReachabilityFn reachability_fn_;
   uint64_t topology_version_ = 1;
-  mutable std::map<NodeId, RouteTable> route_tables_;
+  mutable std::vector<RouteTable> route_tables_;  ///< by source NodeId
 
   /// track_messages accounting. Sends may run concurrently on node loops
   /// under the parallel engine; increments commute, so the mutex is enough

@@ -8,7 +8,7 @@
 // std::function did for anything past its (much smaller) SSO buffer anyway.
 //
 // Move-only by design: an event's callback has exactly one owner (the queue
-// slot holding it), moves loop-to-loop through the cross-node channels, and
+// cell holding it), moves loop-to-loop through the cross-node channels, and
 // is consumed by the single call that fires it. Copyability is what forces
 // std::function to type-erase through a heavier control block; dropping it
 // is most of the win.
@@ -27,7 +27,9 @@ class EventFn {
  public:
   /// Captures up to this many bytes are stored inline (no allocation).
   /// Sized for the engine's own lambdas: a this-pointer, a couple of values,
-  /// a context struct. Bigger closures (a Message in flight) go to the heap.
+  /// a context struct, or a shared_ptr cell (the network's in-flight
+  /// message). Bigger closures, such as one capturing a Message by value,
+  /// go to the heap.
   static constexpr size_t kInlineCapacity = 48;
 
   EventFn() = default;

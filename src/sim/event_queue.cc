@@ -1,72 +1,86 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace encompass::sim {
 
-EventId EventQueue::Schedule(SimTime when, uint16_t exec_node, EventFn fn) {
-  const uint64_t seq = next_seq_++;
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+uint32_t EventQueue::TakeCell(uint16_t exec_node, bool keyed, EventFn fn) {
+  uint32_t cell;
+  if (!free_cells_.empty()) {
+    cell = free_cells_.back();
+    free_cells_.pop_back();
   } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    assert(slot < (1u << kSlotBits) && "too many concurrently pending events");
-    slots_.push_back(1);
+    cell = static_cast<uint32_t>(cells_.size());
+    assert(cell < (1u << kSlotBits) && "too many concurrently pending events");
+    cells_.emplace_back();
+    gens_.push_back(1);
   }
-  const uint32_t gen = slots_[slot];
-  heap_.push(
-      Event{EventKey{when, origin_, seq}, slot, gen, exec_node, std::move(fn)});
+  Cell& c = cells_[cell];
+  c.fn = std::move(fn);
+  c.exec_node = exec_node;
+  c.keyed = keyed;
+  return cell;
+}
+
+void EventQueue::Push(const EventKey& key, uint32_t cell) {
+  heap_.push_back(Entry{key, cell, gens_[cell]});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
-  return (static_cast<EventId>(gen) << kSlotBits) | slot;
+}
+
+EventId EventQueue::Schedule(SimTime when, uint16_t exec_node, EventFn fn) {
+  const uint32_t cell = TakeCell(exec_node, /*keyed=*/false, std::move(fn));
+  Push(EventKey{when, origin_, next_seq_++}, cell);
+  return (static_cast<EventId>(gens_[cell]) << kSlotBits) | cell;
 }
 
 void EventQueue::ScheduleKeyed(const EventKey& key, uint16_t exec_node,
                                EventFn fn) {
-  heap_.push(Event{key, kNoSlot, 0, exec_node, std::move(fn)});
-  ++live_count_;
+  Push(key, TakeCell(exec_node, /*keyed=*/true, std::move(fn)));
 }
 
 void EventQueue::Cancel(EventId id) {
-  const auto slot = static_cast<uint32_t>(id & ((1u << kSlotBits) - 1));
+  const auto cell = static_cast<uint32_t>(id & ((1u << kSlotBits) - 1));
   const auto gen = static_cast<uint32_t>(id >> kSlotBits) & kGenMask;
-  // Live iff the id's generation matches its slot's current one. Id 0 (gen 0)
+  // Live iff the id's generation matches its cell's current one. Id 0 (gen 0)
   // and arbitrary stale ids fail the match: generations are never 0.
-  if (slot >= slots_.size() || slots_[slot] != gen) return;
-  RetireSlot(slot);
+  if (cell >= gens_.size() || gens_[cell] != gen || cells_[cell].keyed) return;
+  cells_[cell].fn = EventFn();
+  RetireCell(cell);
   --live_count_;
   // The heap entry stays behind with the old generation stamped on it;
   // SkipCancelled drops it when it reaches the top.
 }
 
 void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && Dead(heap_.top())) {
-    heap_.pop();
+  while (!heap_.empty() && Dead(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 const EventKey* EventQueue::NextKey() const {
   SkipCancelled();
-  return heap_.empty() ? nullptr : &heap_.top().key;
+  return heap_.empty() ? nullptr : &heap_.front().key;
 }
 
 SimTime EventQueue::NextTime() const {
   SkipCancelled();
-  return heap_.empty() ? kNoDeadline : heap_.top().key.time;
+  return heap_.empty() ? kNoDeadline : heap_.front().key.time;
 }
 
 EventFn EventQueue::PopNext(EventKey* key, uint16_t* exec_node) {
   SkipCancelled();
   assert(!heap_.empty());
-  // priority_queue::top() is const; the callback is moved out via const_cast,
-  // which is safe because the element is popped immediately after.
-  auto& top = const_cast<Event&>(heap_.top());
+  const Entry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  Cell& c = cells_[top.cell];
   *key = top.key;
-  *exec_node = top.exec_node;
-  EventFn fn = std::move(top.fn);
-  if (top.slot != kNoSlot) RetireSlot(top.slot);
-  heap_.pop();
+  *exec_node = c.exec_node;
+  EventFn fn = std::move(c.fn);
+  RetireCell(top.cell);
   --live_count_;
   return fn;
 }

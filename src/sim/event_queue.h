@@ -12,20 +12,22 @@
 // never by the executing thread — so the total order is a property of the
 // simulation's history, identical no matter how execution is interleaved.
 //
-// Hot-path representation: callbacks are EventFn (inline small-buffer
-// storage, no heap allocation for typical captures), and cancellation uses
-// generation-stamped slots instead of hashed id sets. Every locally
-// scheduled event borrows a slot from a free list; its EventId packs
-// (generation << kSlotBits) | slot. Cancel and fire both retire the slot by
-// bumping its generation, so a stale id — already fired, already cancelled,
-// or plain garbage — can never match a live slot: the no-op guarantees cost
-// one array load instead of two hash probes per schedule/cancel/pop.
+// Hot-path representation: the heap holds only 32-byte {key, cell, gen}
+// entries, moved with std::push_heap/pop_heap. Each callback (EventFn) and
+// its exec_node live in a slab cell that never moves while the event is
+// pending, so sifting touches plain keys and never relocates a closure.
+// Every event, local or keyed, borrows a cell from a free list; a local
+// event's EventId packs (generation << kSlotBits) | cell. Cancel and fire
+// both retire the cell by bumping its generation, so a stale id — already
+// fired, already cancelled, or plain garbage — can never match a live cell:
+// the no-op guarantees cost one array load instead of two hash probes per
+// schedule/cancel/pop. Cancel destroys the closure at once; only the 32-byte
+// heap entry lingers until it reaches the top.
 
 #ifndef ENCOMPASS_SIM_EVENT_QUEUE_H_
 #define ENCOMPASS_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -55,7 +57,7 @@ struct EventKey {
 /// keys of locally scheduled events.
 class EventQueue {
  public:
-  /// EventId layout: low kSlotBits = slot index, rest = that slot's
+  /// EventId layout: low kSlotBits = cell index, rest = that cell's
   /// generation at schedule time. Simulation packs the owning loop's shard
   /// above these, so local ids must stay within kSlotBits + kGenBits.
   static constexpr int kSlotBits = 20;
@@ -76,7 +78,7 @@ class EventQueue {
 
   /// Inserts an event carrying a foreign key (a cross-node post stamped by
   /// its sender). Keyed events are not cancellable: their seq lives in the
-  /// sender's numbering and they carry no local slot.
+  /// sender's numbering and no id is handed out for their cell.
   void ScheduleKeyed(const EventKey& key, uint16_t exec_node, EventFn fn);
 
   /// Draws the next local sequence number; used to stamp keys of cross-node
@@ -85,8 +87,9 @@ class EventQueue {
 
   /// Cancels a pending locally-scheduled event. Cancelling an already-fired,
   /// already-cancelled, or unknown event is a true no-op (no tombstone, no
-  /// accounting change): the id's generation no longer matches its slot.
-  /// O(1); the dead heap entry is dropped when it reaches the top.
+  /// accounting change): the id's generation no longer matches its cell.
+  /// O(1): the closure is destroyed now; the dead heap entry is dropped when
+  /// it reaches the top.
   void Cancel(EventId id);
 
   bool empty() const { return live_count_ == 0; }
@@ -112,37 +115,41 @@ class EventQueue {
   }
 
  private:
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
   static constexpr uint32_t kGenMask = (1u << kGenBits) - 1;
 
-  struct Event {
+  struct Entry {
     EventKey key;
-    uint32_t slot;  // kNoSlot for keyed (non-cancellable) inserts
-    uint32_t gen;   // the slot's generation when scheduled
-    uint16_t exec_node;
-    EventFn fn;
+    uint32_t cell;
+    uint32_t gen;  // the cell's generation when scheduled
   };
+  static_assert(sizeof(Entry) == 32, "heap entries are sifted by value");
   struct Later {
-    bool operator()(const Event& a, const Event& b) const { return b.key < a.key; }
+    bool operator()(const Entry& a, const Entry& b) const { return b.key < a.key; }
+  };
+  struct Cell {
+    EventFn fn;
+    uint16_t exec_node = 0;
+    bool keyed = false;  // keyed cells are never cancellable
   };
 
-  bool Dead(const Event& e) const {
-    return e.slot != kNoSlot && slots_[e.slot] != e.gen;
-  }
+  bool Dead(const Entry& e) const { return gens_[e.cell] != e.gen; }
   void SkipCancelled() const;
-  void RetireSlot(uint32_t slot) {
-    slots_[slot] = (slots_[slot] + 1) & kGenMask;
-    if (slots_[slot] == 0) slots_[slot] = 1;  // gen 0 is reserved for "never"
-    free_slots_.push_back(slot);
+  uint32_t TakeCell(uint16_t exec_node, bool keyed, EventFn fn);
+  void Push(const EventKey& key, uint32_t cell);
+  void RetireCell(uint32_t cell) {
+    gens_[cell] = (gens_[cell] + 1) & kGenMask;
+    if (gens_[cell] == 0) gens_[cell] = 1;  // gen 0 is reserved for "never"
+    free_cells_.push_back(cell);
   }
 
   uint16_t origin_;
-  mutable std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  // slots_[s] is slot s's current generation; an id (or heap entry) is live
+  mutable std::vector<Entry> heap_;  // min-heap under Later
+  std::vector<Cell> cells_;
+  // gens_[c] is cell c's current generation; an id (or heap entry) is live
   // iff its stamped generation equals it. Generations start at 1 and bump on
   // fire and on cancel, so id 0 and recycled ids never match.
-  std::vector<uint32_t> slots_;
-  std::vector<uint32_t> free_slots_;
+  std::vector<uint32_t> gens_;
+  std::vector<uint32_t> free_cells_;
   size_t live_count_ = 0;
   uint64_t next_seq_ = 1;
 };

@@ -61,10 +61,14 @@ void TraceLog::Record(const TraceEvent& e) {
     key = EventKey{e.time, 0, 0};
   }
   Rec rec{key, s->next_ordinal++, e};
-  if (s->ring.size() < capacity_) {
-    s->ring.push_back(std::move(rec));
+  if (s->size < capacity_) {
+    if (s->size == s->chunks.size() * kChunkRecs) {
+      s->chunks.push_back(
+          std::make_unique<Rec[]>(std::min(kChunkRecs, capacity_ - s->size)));
+    }
+    s->at(s->size++) = rec;
   } else {
-    s->ring[s->head] = std::move(rec);
+    s->at(s->head) = rec;
     s->head = (s->head + 1) % capacity_;
     s->dropped++;
   }
@@ -72,7 +76,7 @@ void TraceLog::Record(const TraceEvent& e) {
 
 size_t TraceLog::size() const {
   size_t n = 0;
-  for (const auto& s : shards_) n += s->ring.size();
+  for (const auto& s : shards_) n += s->size;
   return n;
 }
 
@@ -84,7 +88,7 @@ size_t TraceLog::dropped() const {
 
 void TraceLog::Clear() {
   for (auto& s : shards_) {
-    s->ring.clear();
+    s->size = 0;  // chunks stay allocated for reuse
     s->head = 0;
     s->dropped = 0;
   }
@@ -99,12 +103,12 @@ std::vector<TraceEvent> TraceLog::Events(uint64_t transid) const {
   std::vector<const Rec*> recs;
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
-    const size_t n = s.ring.size();
+    const size_t n = s.size;
     // A full ring's oldest element sits at head (the next overwrite slot);
     // a partially filled ring starts at 0.
     const size_t start = (n == capacity_) ? s.head : 0;
     for (size_t i = 0; i < n; ++i) {
-      const Rec& r = s.ring[(start + i) % n];
+      const Rec& r = s.at((start + i) % n);
       if (r.e.transid == transid) recs.push_back(&r);
     }
   }
@@ -126,9 +130,9 @@ std::vector<TraceEvent> TraceLog::AllEvents() const {
   std::vector<const Rec*> recs;
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
-    const size_t n = s.ring.size();
+    const size_t n = s.size;
     const size_t start = (n == capacity_) ? s.head : 0;
-    for (size_t i = 0; i < n; ++i) recs.push_back(&s.ring[(start + i) % n]);
+    for (size_t i = 0; i < n; ++i) recs.push_back(&s.at((start + i) % n));
   }
   std::sort(recs.begin(), recs.end(), [](const Rec* a, const Rec* b) {
     if (a->key < b->key) return true;

@@ -74,8 +74,9 @@ struct TraceEvent {
 };
 
 /// Sharded bounded rings of TraceEvents. When a shard's ring is full, its
-/// oldest events are overwritten (and counted in dropped()); recording is
-/// O(1) and allocation-free once a ring has grown to capacity.
+/// oldest events are overwritten (and counted in dropped()). A ring grows in
+/// fixed chunks that are never moved, so recording is O(1), never copies
+/// earlier records, and is allocation-free once a ring reaches capacity.
 class TraceLog {
  public:
   explicit TraceLog(size_t capacity = 1 << 16);
@@ -131,11 +132,20 @@ class TraceLog {
     uint64_t ordinal;  // per-shard record order, tie-break at equal keys
     TraceEvent e;
   };
+  // Records per ring chunk. Small enough that chunks come from the
+  // allocator's recycled heap rather than fresh mappings.
+  static constexpr size_t kChunkRecs = 1024;
   struct Shard {
-    std::vector<Rec> ring;  // grows lazily to capacity, then wraps
-    size_t head = 0;        // next overwrite position once full
+    std::vector<std::unique_ptr<Rec[]>> chunks;  // ring storage, in order
+    size_t size = 0;  // records held; fills to capacity, then wraps
+    size_t head = 0;  // next overwrite position once full
     size_t dropped = 0;
     uint64_t next_ordinal = 0;
+
+    Rec& at(size_t i) { return chunks[i / kChunkRecs][i % kChunkRecs]; }
+    const Rec& at(size_t i) const {
+      return chunks[i / kChunkRecs][i % kChunkRecs];
+    }
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -10,6 +10,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reference_event_queue.h"
@@ -50,7 +51,7 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
           break;
         }
         case 2: {  // keyed insert from a foreign origin
-          const EventKey key{50 + rng() % 40,
+          const EventKey key{static_cast<SimTime>(50 + rng() % 40),
                              static_cast<uint16_t>(7 + rng() % 2), keyed_seq++};
           const std::string tag = "K" + std::to_string(label++);
           prod.ScheduleKeyed(key, key.origin,
@@ -135,6 +136,99 @@ TEST(EventQueueDiffTest, SlotReuseKeepsStaleIdsDead) {
   SimTime when;
   q.PopNext(&when)();
   EXPECT_EQ(fired, 201);
+}
+
+// Cancel-heavy churn shaped like Process::Call: every call arms a 5 s
+// timeout that its reply cancels a few milliseconds later, while short local
+// events and keyed cross-node posts keep arriving. Dead timeout entries pile
+// up in the heap far longer than their cells stay retired, so cells are
+// reused many times over while stale ids for them are still around.
+TEST(EventQueueDiffTest, CallTimeoutChurnMatchesReference) {
+  std::mt19937_64 rng(0xCA11);
+  EventQueue prod(/*origin=*/2);
+  testing::ReferenceEventQueue ref(/*origin=*/2);
+  std::vector<std::string> prod_fired, ref_fired;
+  std::vector<IdPair> armed;  // timeouts not yet cancelled, oldest first
+  std::vector<IdPair> stale;  // cancelled timeouts and fired short events
+  std::vector<std::pair<SimTime, IdPair>> shorts;  // short events, in order
+  uint64_t keyed_seq = 1;
+  int label = 0;
+  SimTime now = 0;
+
+  auto record = [](std::vector<std::string>& fired, int tag) {
+    return [&fired, tag]() { fired.push_back(std::to_string(tag)); };
+  };
+  auto pop_due = [&]() {
+    while (!prod.empty() && prod.NextTime() <= now) {
+      ASSERT_EQ(ref.NextTime(), prod.NextTime());
+      EventKey pk, rk;
+      uint16_t pe, re;
+      prod.PopNext(&pk, &pe)();
+      ref.PopNext(&rk, &re)();
+      ASSERT_EQ(pk.origin, rk.origin);
+      ASSERT_EQ(pk.seq, rk.seq);
+      ASSERT_EQ(pe, re);
+    }
+  };
+
+  for (int call = 0; call < 5000; ++call) {
+    now += Micros(static_cast<int64_t>(rng() % 700));
+    const SimTime timeout = now + Seconds(5);
+    armed.push_back(IdPair{prod.Schedule(timeout, record(prod_fired, label)),
+                           ref.Schedule(timeout, 2, record(ref_fired, label))});
+    ++label;
+    const SimTime soon = now + Micros(static_cast<int64_t>(rng() % 3000));
+    shorts.emplace_back(soon,
+                        IdPair{prod.Schedule(soon, record(prod_fired, label)),
+                               ref.Schedule(soon, 2, record(ref_fired, label))});
+    ++label;
+    if (rng() % 2 == 0) {
+      const EventKey key{now + Millis(1) + static_cast<SimTime>(rng() % 2000),
+                         static_cast<uint16_t>(5 + rng() % 3), keyed_seq++};
+      prod.ScheduleKeyed(key, key.origin, record(prod_fired, label));
+      ref.ScheduleKeyed(key, key.origin, record(ref_fired, label));
+      ++label;
+    }
+    // Replies arrive within milliseconds: cancel every timeout armed more
+    // than a few calls ago, except the rare one that is left to fire.
+    while (armed.size() > 4) {
+      const IdPair p = armed.front();
+      armed.erase(armed.begin());
+      if (rng() % 50 == 0) continue;  // no reply: this timeout fires
+      const size_t before = prod.size();
+      prod.Cancel(p.prod);
+      ASSERT_TRUE(ref.Cancel(p.ref));
+      ASSERT_EQ(prod.size() + 1, before);
+      stale.push_back(p);
+    }
+    // Stale ids stay no-ops even though their cells have been reused.
+    if (!stale.empty()) {
+      const IdPair& p = stale[rng() % stale.size()];
+      const size_t before = prod.size();
+      prod.Cancel(p.prod);
+      ASSERT_FALSE(ref.Cancel(p.ref));
+      ASSERT_EQ(prod.size(), before);
+    }
+    pop_due();
+    ASSERT_EQ(prod.size(), ref.size()) << "call " << call;
+    std::erase_if(shorts, [&](const auto& s) {
+      if (s.first > now) return false;
+      stale.push_back(s.second);  // fired: its id is stale from now on
+      return true;
+    });
+  }
+
+  for (const IdPair& p : stale) {
+    prod.Cancel(p.prod);
+    ASSERT_FALSE(ref.Cancel(p.ref));
+  }
+  ASSERT_EQ(prod.size(), ref.size());
+  now = kNoDeadline - 1;
+  pop_due();
+  EXPECT_TRUE(prod.empty());
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(prod_fired, ref_fired);
+  EXPECT_GT(stale.size(), 9000u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -180,6 +181,63 @@ TEST_F(NetworkTest, PerLinkLatencyHonoured) {
   SimTime before = sim_.Now();
   sim_.Run();
   EXPECT_EQ(sim_.Now() - before, Millis(42));
+}
+
+TEST_F(NetworkTest, MultiHopArrivalIsSumOfRouteLatencies) {
+  AddNodes(6);
+  // Two three-hop paths from 1 to 4 with unequal per-link latencies; the
+  // ordered link map picks 1-2-3-4.
+  const std::map<std::pair<NodeId, NodeId>, SimDuration> latency = {
+      {{1, 2}, Millis(7)}, {{2, 3}, Millis(19)}, {{3, 4}, Micros(3250)},
+      {{1, 5}, Millis(2)}, {{5, 6}, Millis(2)},  {{4, 6}, Millis(2)}};
+  for (const auto& [link, l] : latency) network_.AddLink(link.first, link.second, l);
+  const std::vector<NodeId> route = network_.Route(1, 4);
+  ASSERT_EQ(route, (std::vector<NodeId>{1, 2, 3, 4}));
+  SimDuration expected = 0;
+  for (size_t i = 0; i + 1 < route.size(); ++i) {
+    expected += latency.at(std::minmax(route[i], route[i + 1]));
+  }
+
+  const SimTime sent = sim_.Now();
+  network_.Send(Make(1, 4));
+  sim_.Run();  // the last events are the delivery and its source probe
+  ASSERT_EQ(delivered_[4].size(), 1u);
+  EXPECT_EQ(sim_.Now() - sent, expected);
+}
+
+// A link cut that lands exactly at a message's arrival instant: topology
+// events order before node events at the same time, so the delivery finds
+// the packet dead and the source probe retransmits it. The in-flight
+// message, shared by the two events, must be consumed exactly once.
+TEST(NetworkCutTest, CutAtArrivalRetransmitsOnceAndDeliversOnce) {
+  for (int workers : {0, 1, 2}) {
+    sim::Simulation sim(5, workers);
+    Network net(&sim);
+    std::vector<Message> got;
+    net.AddNode(1, [](Message) {});
+    net.AddNode(2, [&got](Message msg) { got.push_back(std::move(msg)); });
+    net.AddLink(1, 2, Millis(15));
+    sim.At(Millis(15), [&net] { net.SetLinkUp(1, 2, false); });
+    sim.At(Millis(40), [&net] { net.SetLinkUp(1, 2, true); });
+    sim.AfterOn(1, 0, [&net] {
+      Message msg;
+      msg.src = ProcessId{1, 1};
+      msg.dst = Address(ProcessId{2, 1});
+      msg.tag = kTagApp;
+      msg.request_id = 9;
+      msg.payload = Bytes(100, 'x');
+      net.Send(std::move(msg));
+    });
+    sim.Run();
+    ASSERT_EQ(got.size(), 1u) << "workers " << workers;
+    EXPECT_EQ(got[0].request_id, 9u);
+    EXPECT_EQ(got[0].payload, Bytes(100, 'x'));
+    EXPECT_EQ(sim.GetStats().Counter("net.retransmits"), 1);
+    EXPECT_EQ(sim.GetStats().Counter("net.delivered"), 1);
+    EXPECT_EQ(sim.GetStats().Counter("net.undeliverable"), 0);
+    // Cut at 15 ms, retransmit 50 ms later, one more 15 ms hop.
+    EXPECT_EQ(sim.Now(), Millis(80));
+  }
 }
 
 // Reference implementation for the route-cache tests: a fresh breadth-first

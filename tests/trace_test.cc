@@ -109,6 +109,33 @@ std::vector<std::string> ProtocolSequence(const Rig& rig, uint64_t transid) {
   return out;
 }
 
+// A full ring wraps: it keeps the newest `capacity` records, oldest first,
+// and counts every overwritten one. The second case spans several storage
+// chunks and ends in a partial one.
+TEST(TraceTest, RingKeepsNewestRecordsAndCountsDropped) {
+  struct Case {
+    uint32_t capacity, fed;
+  };
+  for (const Case c : {Case{16, 40}, Case{2500, 6000}}) {
+    sim::TraceLog log(c.capacity);
+    for (uint32_t i = 0; i < c.fed; ++i) {
+      sim::TraceEvent e;
+      e.time = 100 + i;
+      e.transid = 7;
+      e.a = i;
+      log.Record(e);
+    }
+    EXPECT_EQ(log.size(), c.capacity);
+    EXPECT_EQ(log.dropped(), c.fed - c.capacity);
+    const std::vector<sim::TraceEvent> kept = log.AllEvents();
+    ASSERT_EQ(kept.size(), c.capacity);
+    for (uint32_t i = 0; i < c.capacity; ++i) {
+      ASSERT_EQ(kept[i].a, c.fed - c.capacity + i) << "capacity " << c.capacity;
+    }
+    EXPECT_EQ(log.Events(7).size(), c.capacity);
+  }
+}
+
 TEST(TraceTest, DistributedCommitCausalSequence) {
   Rig rig = MakeRig(101);
   uint64_t t = Begin(rig);

@@ -1,9 +1,9 @@
 // E10 — parallel simulation engine scaling. The PDES engine partitions the
 // event schedule across per-node loops and runs them on a worker pool under
 // conservative synchronization (lookahead = minimum link latency), with the
-// guarantee that every engine — the legacy single queue (workers=0), the
-// single-threaded PDES oracle (workers=1), and any worker pool (workers=N) —
-// produces byte-identical same-seed results. This binary measures what the
+// guarantee that every engine — the single-threaded PDES oracle (workers=1)
+// and any worker pool (workers=N) — produces byte-identical same-seed
+// results. This binary measures what the
 // parallelism buys: events/second on a synthetic multi-node workload at
 // 2/4/8/16 nodes, single-threaded vs a worker pool sized to the host.
 //
@@ -137,7 +137,7 @@ EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
 // satellite's horizon collapses to ~100us — a coordinator round per handful
 // of events. With per-link lookahead the satellites' horizons are bounded by
 // 50ms links instead, so rounds batch thousands of events. Both
-// configurations — and the legacy/oracle engines — must produce the same
+// configurations — and the single-thread oracle — must produce the same
 // executed count and checksum: the lookahead table changes batching, never
 // history.
 
@@ -223,22 +223,20 @@ void TableHetero() {
   const SimDuration span = Seconds(1);
   Header("E10.c heterogeneous topology: per-link vs global-min lookahead "
          "(metro pair @100us + 6 WAN satellites @50ms, seed 4242, 1 sim-sec)");
-  EngineRun legacy = RunHetero(0, true, span);
   EngineRun oracle = RunHetero(1, true, span, "hetero.oracle");
   EngineRun perlink = RunHetero(pool, true, span, "hetero.perlink");
   EngineRun globalmin = RunHetero(pool, false, span, "hetero.globalmin");
   EngineRun oracle_gm = RunHetero(1, false, span);
   const bool identical =
-      legacy.executed == oracle.executed && oracle.executed == perlink.executed &&
+      oracle.executed == perlink.executed &&
       perlink.executed == globalmin.executed &&
       globalmin.executed == oracle_gm.executed &&
-      legacy.checksum == oracle.checksum && oracle.checksum == perlink.checksum &&
+      oracle.checksum == perlink.checksum &&
       perlink.checksum == globalmin.checksum &&
       globalmin.checksum == oracle_gm.checksum;
   if (!identical) {
-    printf("ENGINE DIVERGENCE on hetero topology: legacy %llu/%llu oracle "
-           "%llu/%llu perlink %llu/%llu globalmin %llu/%llu oracle-gm %llu/%llu\n",
-           (unsigned long long)legacy.executed, (unsigned long long)legacy.checksum,
+    printf("ENGINE DIVERGENCE on hetero topology: oracle %llu/%llu "
+           "perlink %llu/%llu globalmin %llu/%llu oracle-gm %llu/%llu\n",
            (unsigned long long)oracle.executed, (unsigned long long)oracle.checksum,
            (unsigned long long)perlink.executed, (unsigned long long)perlink.checksum,
            (unsigned long long)globalmin.executed,
@@ -250,8 +248,6 @@ void TableHetero() {
   }
   printf("%22s %14s %9s %12s %12s %14s\n", "engine", "events/s", "rounds",
          "ready/round", "horizon p50", "horizon p95");
-  printf("%22s %14.0f %9s %12s %12s %14s\n", "legacy (workers=0)",
-         legacy.events_per_sec, "-", "-", "-", "-");
   printf("%22s %14.0f %9s %12s %12s %14s\n", "oracle (workers=1)",
          oracle.events_per_sec, "-", "-", "-", "-");
   auto row = [](const char* name, const EngineRun& r) {
@@ -269,7 +265,6 @@ void TableHetero() {
                              : 0;
   printf("per-link speedup over global-min engine: %.2fx\n", speedup);
   ReportValue("hetero.events", static_cast<double>(perlink.executed));
-  ReportValue("hetero.legacy_eps", legacy.events_per_sec);
   ReportValue("hetero.single_eps", oracle.events_per_sec);
   ReportValue("hetero.parallel_eps", perlink.events_per_sec);
   ReportValue("hetero.globalmin_eps", globalmin.events_per_sec);
@@ -281,24 +276,20 @@ void TableScaling() {
   const int pool = PoolWorkers();
   Header("E10.a events/second by node count and engine (seed 42, 1 sim-sec)");
   printf("host threads: %u (worker pool: %d)\n", hw, pool);
-  printf("%6s %14s %14s %14s %9s\n", "nodes", "legacy eps", "oracle eps",
-         "parallel eps", "speedup");
+  printf("%6s %14s %14s %9s\n", "nodes", "oracle eps", "parallel eps",
+         "speedup");
   for (int nodes : {2, 4, 8, 16}) {
     const SimDuration span = Seconds(1);
-    EngineRun legacy = RunSynthetic(nodes, 0, span);
     EngineRun oracle = RunSynthetic(nodes, 1, span);
     // The 8-node parallel run surfaces its coordinator metrics in the JSON.
     EngineRun par =
         RunSynthetic(nodes, pool, span, nodes == 8 ? "nodes8.par" : "");
     // The determinism contract, enforced before any number is reported:
     // same seed, any engine, identical history.
-    if (legacy.executed != oracle.executed || oracle.executed != par.executed ||
-        legacy.checksum != oracle.checksum || oracle.checksum != par.checksum) {
-      printf("ENGINE DIVERGENCE at %d nodes: legacy %llu/%llu oracle %llu/%llu "
+    if (oracle.executed != par.executed || oracle.checksum != par.checksum) {
+      printf("ENGINE DIVERGENCE at %d nodes: oracle %llu/%llu "
              "parallel %llu/%llu (executed/checksum)\n",
-             nodes, (unsigned long long)legacy.executed,
-             (unsigned long long)legacy.checksum,
-             (unsigned long long)oracle.executed,
+             nodes, (unsigned long long)oracle.executed,
              (unsigned long long)oracle.checksum,
              (unsigned long long)par.executed,
              (unsigned long long)par.checksum);
@@ -308,11 +299,10 @@ void TableScaling() {
     const double speedup =
         oracle.events_per_sec > 0 ? par.events_per_sec / oracle.events_per_sec
                                   : 0;
-    printf("%6d %14.0f %14.0f %14.0f %8.2fx\n", nodes, legacy.events_per_sec,
-           oracle.events_per_sec, par.events_per_sec, speedup);
+    printf("%6d %14.0f %14.0f %8.2fx\n", nodes, oracle.events_per_sec,
+           par.events_per_sec, speedup);
     const std::string k = "nodes" + std::to_string(nodes);
     ReportValue(k + ".events", static_cast<double>(par.executed));
-    ReportValue(k + ".legacy_eps", legacy.events_per_sec);
     ReportValue(k + ".single_eps", oracle.events_per_sec);
     ReportValue(k + ".parallel_eps", par.events_per_sec);
     ReportValue(k + ".speedup", speedup);
@@ -327,7 +317,7 @@ void TableScaling() {
 void TableWorkerSweep() {
   Header("E10.b 8 nodes: events/second by worker count");
   printf("%9s %14s\n", "workers", "events/s");
-  for (int workers : {0, 1, 2, 4, 8}) {
+  for (int workers : {1, 2, 4, 8}) {
     EngineRun r = RunSynthetic(8, workers, Seconds(1));
     printf("%9d %14.0f\n", workers, r.events_per_sec);
     ReportValue("sweep.workers" + std::to_string(workers) + ".eps",

@@ -1,14 +1,22 @@
 // E12 — Paxos Commit vs 2PC under fault storms. The in-doubt window is
 // 2PC's blocking failure mode: a participant of a crashed home holds its
-// locks until the home returns. Paxos Commit replicates the commit decision
-// across a 2F+1 acceptor group so any live majority can answer in the home's
-// stead. This bench prices that trade on the BENCH_e9 storm schedules:
-// fewer blocked in-doubt transactions at recovery, shorter blocked-lock
-// holds, against an extra acceptor round trip before the commit point.
+// locks until the home returns. Paxos Commit (Gray & Lamport, the
+// F+1-message form) has every participant send its prepared vote straight
+// to the F+1 nearest of 2F+1 acceptors — co-located first, so a vote is
+// usually a local forced write, not a network message — and the home's
+// vote-ack tally is the commit point: one WAN delay, like 2PC's MAT force.
+// Any live acceptor majority can then settle an in-doubt transaction in the
+// home's stead. This bench prices that trade on the BENCH_e9 storm shapes:
+// in-doubt transactions stranded at recovery and blocked-lock time, against
+// commit latency, cross-node messages per committed transaction and the
+// acceptor log's boundedness under GC — plus engine identity at every
+// worker count.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "bench_util.h"
 #include "encompass/chaos.h"
@@ -17,7 +25,8 @@ namespace encompass::bench {
 namespace {
 
 // Same storm floor as BENCH_e9 / the PR-4 chaos campaign: three nodes,
-// >= 8 faults, at least one total node crash.
+// >= 10 faults, at least two total node crashes. Message accounting is on:
+// messages per committed transaction is one of the headline prices.
 app::ChaosCampaignConfig CampaignConfig(uint64_t seed, bool paxos) {
   app::ChaosCampaignConfig cfg;
   cfg.seed = seed;
@@ -39,6 +48,7 @@ app::ChaosCampaignConfig CampaignConfig(uint64_t seed, bool paxos) {
   // every tick of an outage is a blocked retry; under Paxos Commit the
   // first post-grace tick escalates to the acceptor majority.
   cfg.indoubt_resolve_interval = Millis(250);
+  cfg.track_messages = true;
   if (paxos) {
     cfg.commit_protocol = tmf::CommitProtocol::kPaxos;
     cfg.commit_replication = 3;  // 2F+1, F = 1
@@ -56,15 +66,22 @@ struct ProtocolTotals {
   double hold_max_ms = 0;   // worst across seeds
   double commit_p50_ms = 0; // worst across seeds
   double commit_p99_ms = 0; // worst across seeds
+  uint64_t committed = 0;
+  uint64_t messages = 0;          // transid-attributed cross-node sends
+  size_t acceptor_log_peak = 0;   // worst across seeds
+  size_t acceptor_log_final = 0;  // summed (should be ~0 after GC)
+  int64_t duplicate_votes = 0;
+  std::map<uint32_t, uint64_t> msgs_per_tag;
 };
 
 constexpr uint64_t kFirstSeed = 1, kLastSeed = 8;
 
 ProtocolTotals RunSeeds(bool paxos) {
   ProtocolTotals t;
-  printf("%6s %8s %8s %9s %9s %9s %10s %10s %9s %9s\n", "seed", "indoubt",
-         "blocked", "via_acc", "hold_n", "hold_p99", "hold_max", "commit_p50",
-         "commit_p99", "survived");
+  printf("%4s %7s %7s %7s %6s %8s %9s %10s %10s %8s %8s %9s %8s\n", "seed",
+         "indoubt", "blocked", "via_acc", "hold_n", "hold_p99", "hold_max",
+         "commit_p50", "commit_p99", "msgs/txn", "log_peak", "log_final",
+         "survived");
   for (uint64_t seed = kFirstSeed; seed <= kLastSeed; ++seed) {
     app::ChaosCampaignResult r =
         app::RunChaosCampaign(CampaignConfig(seed, paxos));
@@ -80,24 +97,56 @@ ProtocolTotals RunSeeds(bool paxos) {
     t.hold_max_ms = std::max(t.hold_max_ms, r.indoubt_hold_max_ms);
     t.commit_p50_ms = std::max(t.commit_p50_ms, r.commit_latency_p50_ms);
     t.commit_p99_ms = std::max(t.commit_p99_ms, r.commit_latency_p99_ms);
-    printf("%6llu %8zu %8lld %9lld %9lld %9.1f %10.1f %10.2f %9.2f %9s\n",
+    t.committed += r.txns_committed;
+    t.messages += r.tracked_messages;
+    t.acceptor_log_peak = std::max(t.acceptor_log_peak, r.acceptor_log_peak);
+    t.acceptor_log_final += r.acceptor_log_final;
+    t.duplicate_votes += r.acceptor_duplicate_votes;
+    for (const auto& [tag, count] : r.msgs_per_tag) {
+      t.msgs_per_tag[tag] += count;
+    }
+    printf("%4llu %7zu %7lld %7lld %6lld %8.1f %9.1f %10.2f %10.2f %8.2f "
+           "%8zu %9zu %8s\n",
            static_cast<unsigned long long>(seed), r.indoubt_at_recovery,
            static_cast<long long>(r.indoubt_blocked_on_home),
            static_cast<long long>(r.indoubt_resolved_via_acceptors),
            static_cast<long long>(r.indoubt_hold_count), r.indoubt_hold_p99_ms,
            r.indoubt_hold_max_ms, r.commit_latency_p50_ms,
-           r.commit_latency_p99_ms, ok ? "yes" : "NO");
+           r.commit_latency_p99_ms, r.msgs_per_committed_txn,
+           r.acceptor_log_peak, r.acceptor_log_final, ok ? "yes" : "NO");
   }
   return t;
+}
+
+double MsgsPerTxn(const ProtocolTotals& t) {
+  if (t.committed == 0) return 0;
+  return static_cast<double>(t.messages) / static_cast<double>(t.committed);
+}
+
+void EmitProtocol(const std::string& prefix, const ProtocolTotals& t) {
+  ReportValue(prefix + ".committed", static_cast<double>(t.committed));
+  ReportValue(prefix + ".net.msgs_per_txn", MsgsPerTxn(t));
+  ReportValue(prefix + ".acceptor_log_peak",
+              static_cast<double>(t.acceptor_log_peak));
+  ReportValue(prefix + ".acceptor_log_final",
+              static_cast<double>(t.acceptor_log_final));
+  ReportValue(prefix + ".acceptor_duplicate_votes",
+              static_cast<double>(t.duplicate_votes));
+  for (const auto& [tag, count] : t.msgs_per_tag) {
+    ReportValue(prefix + ".net.msgs." + NetTagName(tag),
+                static_cast<double>(count));
+  }
 }
 
 void TableProtocolComparison() {
   Header("E12.a 2PC vs Paxos Commit across the E9 storm seeds");
   printf("two-phase commit (the paper's protocol):\n");
   ProtocolTotals two = RunSeeds(/*paxos=*/false);
-  printf("\npaxos commit, 3 acceptors (F = 1):\n");
+  printf("\npaxos commit, 3 acceptors (F = 1), direct F+1 votes:\n");
   ProtocolTotals pax = RunSeeds(/*paxos=*/true);
 
+  const double p50_ratio =
+      two.commit_p50_ms > 0 ? pax.commit_p50_ms / two.commit_p50_ms : 0;
   printf("\nin-doubt transactions at recovery (stranded on a dead home when "
          "it returned): 2pc %zu vs paxos %zu\n",
          two.indoubt_at_recovery, pax.indoubt_at_recovery);
@@ -110,9 +159,15 @@ void TableProtocolComparison() {
          "paxos p99 %.1fms max %.1fms\n",
          two.hold_p99_ms, two.hold_max_ms, pax.hold_p99_ms, pax.hold_max_ms);
   printf("commit latency at the home (worst seed): 2pc p50 %.2fms p99 %.2fms "
-         "vs paxos p50 %.2fms p99 %.2fms — the acceptor round trip\n",
+         "vs paxos p50 %.2fms p99 %.2fms (paxos/2pc p50 = %.3fx)\n",
          two.commit_p50_ms, two.commit_p99_ms, pax.commit_p50_ms,
-         pax.commit_p99_ms);
+         pax.commit_p99_ms, p50_ratio);
+  printf("cross-node messages per committed txn: 2pc %.2f, paxos %.2f\n",
+         MsgsPerTxn(two), MsgsPerTxn(pax));
+  printf("paxos acceptor log: peak %zu instances, %zu left after GC, "
+         "%lld duplicate votes absorbed\n",
+         pax.acceptor_log_peak, pax.acceptor_log_final,
+         static_cast<long long>(pax.duplicate_votes));
 
   ReportValue("runs_per_protocol", static_cast<double>(two.runs));
   ReportValue("survived_2pc", static_cast<double>(two.survived));
@@ -132,16 +187,19 @@ void TableProtocolComparison() {
   ReportValue("commit_p50_ms_paxos", pax.commit_p50_ms);
   ReportValue("commit_p99_ms_2pc", two.commit_p99_ms);
   ReportValue("commit_p99_ms_paxos", pax.commit_p99_ms);
+  ReportValue("paxos_vs_2pc_commit_p50_ratio", p50_ratio);
+  EmitProtocol("2pc", two);
+  EmitProtocol("paxos", pax);
 }
 
 void TableEngineIdentity() {
   Header("E12.b same seed, same storm, every engine (both protocols)");
-  const int workers[] = {0, 1, 2, 4, 8};
+  const int workers[] = {2, 4, 8};
   int divergence = 0;
   for (int paxos = 0; paxos <= 1; ++paxos) {
     app::ChaosCampaignConfig cfg = CampaignConfig(kFirstSeed, paxos != 0);
     app::ChaosCampaignResult base = app::RunChaosCampaign(cfg);
-    printf("%-10s", paxos ? "paxos" : "two-phase");
+    printf("%-10s w1:base", paxos ? "paxos" : "two-phase");
     for (int w : workers) {
       cfg.parallel_workers = w;
       app::ChaosCampaignResult r = app::RunChaosCampaign(cfg);
@@ -150,13 +208,15 @@ void TableEngineIdentity() {
                         r.txns_aborted == base.txns_aborted &&
                         r.txns_unknown == base.txns_unknown &&
                         r.balance_sum == base.balance_sum &&
+                        r.tracked_messages == base.tracked_messages &&
                         r.journal == base.journal;
       if (!same) ++divergence;
       printf(" w%d:%s", w, same ? "ok" : "DIVERGED");
     }
     printf("\n");
   }
-  printf("(fingerprint: txn counts + balance sum + fault journal)\n");
+  printf("(fingerprint: txn counts + balance sum + message count + fault "
+         "journal)\n");
   ReportValue("divergence", static_cast<double>(divergence));
 }
 
@@ -180,6 +240,7 @@ BENCHMARK(BM_PaxosChaosCampaign)->Iterations(2)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   encompass::bench::InitReport("e12_paxos_commit");
   encompass::bench::ReportMeta(/*seed=*/1);
+  encompass::bench::ReportCommitProtocol(encompass::tmf::CommitProtocol::kPaxos);
   printf("E12: Paxos Commit vs 2PC — pricing the in-doubt window\n");
   encompass::bench::TableProtocolComparison();
   encompass::bench::TableEngineIdentity();

@@ -259,6 +259,19 @@ void DiscProcess::ResumeGranted(const std::vector<LockGrant>& grants) {
         CheckpointBatch batch;
         CkptGrant(&batch, grant.owner, grant.key);
         FlushCheckpoint(&batch);
+        // The owner may have begun aborting while it waited — e.g. a
+        // participant that lost the transaction's earlier locks in a crash
+        // learns of the abort only now. Backout is already collecting its
+        // images, so executing the parked work would leave an update no
+        // backout ever undoes. Refuse it; the lock goes with the rest of
+        // the transaction's at the aborted notification.
+        if (aborting_.count(grant.owner) || IsResolved(grant.owner)) {
+          stats().Incr(m_.lock_conflict_aborts);
+          FinishWithReply(msg,
+                          Status::Aborted("transaction is aborting or resolved"),
+                          {}, 0, nullptr);
+          break;
+        }
         auto req = DiscRequest::Decode(Slice(msg.payload));
         if (req.ok()) Execute(msg, *req);
         break;

@@ -160,25 +160,19 @@ struct ChaosCampaignConfig {
   /// Max quiesce time after the storm for transactions, safe deliveries,
   /// and recoveries to drain.
   SimDuration max_drain = Seconds(120);
-  /// Engine selector forwarded to sim::Simulation: 0 = legacy single queue,
-  /// 1 = PDES oracle, N >= 2 = worker pool. Same-seed results are
-  /// byte-identical at every setting.
-  int parallel_workers = 0;
+  /// Engine selector forwarded to sim::Simulation: 1 = PDES oracle,
+  /// N >= 2 = worker pool. Same-seed results are byte-identical at every
+  /// setting.
+  int parallel_workers = 1;
   /// Deploy every node with ExecLane::kQueue and run the clients through
   /// the $QPLAN submit path — the same storm and oracle, lock-free lane.
   bool queue_lane = false;
   /// Commit protocol of every node's TMP: the paper's 2PC (default), or
-  /// Paxos Commit with `commit_replication` CommitAcceptor pairs placed on
-  /// nodes 1..min(commit_replication, nodes).
+  /// Paxos Commit with `commit_replication` CommitAcceptor pairs placed as
+  /// explicit `$ACCEPT.<k>` endpoints round-robined over the nodes (so
+  /// commit_replication may exceed the node count).
   tmf::CommitProtocol commit_protocol = tmf::CommitProtocol::kTwoPhase;
   int commit_replication = 3;
-  /// Paxos Commit fast path: CommitAcceptor pairs are placed as explicit
-  /// `$ACCEPT.<k>` endpoints round-robined over the nodes (so
-  /// commit_replication may exceed the node count), every participant votes
-  /// its prepared state straight to the F+1 nearest acceptors, and the home
-  /// reclaims acceptor instances once phase 2 is acknowledged. Off by
-  /// default: pre-PR campaign traces are byte-identical.
-  bool paxos_fast_path = false;
   /// Per-transaction / per-verb network message accounting
   /// (ChaosCampaignResult::msgs_per_committed_txn). Off by default.
   bool track_messages = false;
@@ -246,9 +240,9 @@ struct ChaosCampaignResult {
   /// High-water of recovery negotiation attempts for any single transid.
   int64_t recovery_max_retry_attempts = 0;
   /// Cross-node messages per committed transaction (config.track_messages
-  /// only): total transid-attributed network sends / txns_committed. The
-  /// fast-path headline — fewer messages per commit than decision-replication
-  /// Paxos because co-located votes never cross the network.
+  /// only): total transid-attributed network sends / txns_committed. Paxos
+  /// Commit's co-located votes never cross the network, so its count stays
+  /// close to 2PC's.
   double msgs_per_committed_txn = 0;
   uint64_t tracked_messages = 0;  ///< transid-attributed cross-node sends
   /// Per-verb breakdown of every cross-node send (track_messages only).
@@ -260,6 +254,9 @@ struct ChaosCampaignResult {
   size_t acceptor_log_final = 0;
   /// Replayed phase-2a votes absorbed idempotently (no second force).
   int64_t acceptor_duplicate_votes = 0;
+  /// The full Stats::ToString() dump after the drain: every counter and
+  /// histogram of the run. Byte-equal across engine worker counts.
+  std::string stats_dump;
 };
 
 /// Generates the fault schedule for `config.seed` and runs the campaign.

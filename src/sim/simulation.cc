@@ -21,12 +21,11 @@ SimTime SatAdd(SimTime a, SimTime b) {
 }  // namespace
 
 Simulation::Simulation(uint64_t seed, int parallel_workers)
-    : mode_(parallel_workers <= 0  ? Mode::kLegacy
-            : parallel_workers == 1 ? Mode::kSingleLoop
-                                    : Mode::kParallel),
+    : parallel_(parallel_workers > 1),
       seed_(seed),
       parallel_workers_(parallel_workers),
       rng_(seed) {
+  assert(parallel_workers >= 1);
   loops_.push_back(std::make_unique<NodeLoop>(0, 0, NodeSeed(seed, 0)));
   loop_index_.emplace(0, 0);
   tree_.Resize(1);
@@ -135,8 +134,7 @@ uint16_t Simulation::CtxNode() const {
 }
 
 EventId Simulation::ScheduleOn(uint16_t node, SimTime when, EventFn fn) {
-  NodeLoop* loop =
-      mode_ == Mode::kLegacy ? loops_[0].get() : EnsureLoop(node);
+  NodeLoop* loop = EnsureLoop(node);
   // During a parallel round only the loop's own worker may touch its queue;
   // cross-node work must go through PostToNode. The dirty flag is skipped in
   // that case: the coordinator refreshes every ready loop after the round.
@@ -170,16 +168,12 @@ EventId Simulation::AtOn(uint16_t node, SimTime when, EventFn fn) {
 void Simulation::PostToNode(uint16_t dst, SimDuration delay, EventFn fn) {
   if (delay < 0) delay = 0;
   const SimTime when = Now() + delay;
-  if (mode_ == Mode::kLegacy) {
-    loops_[0]->queue.Schedule(when, dst, std::move(fn));
-    return;
-  }
   const internal::ExecContext* ec = internal::Exec();
   NodeLoop* src = (ec != nullptr && ec->sim == this) ? loops_[ec->shard].get()
                                                      : loops_[0].get();
   NodeLoop* dl = EnsureLoop(dst);
-  // The key carries the sender's stamp: deliveries fire in send order, the
-  // same order the legacy engine's global sequence produces.
+  // The key carries the sender's stamp: deliveries fire in send order at
+  // any worker count.
   const EventKey key{when, src->node, src->queue.IssueSeq()};
   if (dl == src || !in_round_) {
     dl->queue.ScheduleKeyed(key, dst, std::move(fn));
@@ -251,7 +245,7 @@ void Simulation::DrainOutboxes() {
 }
 
 bool Simulation::Step() {
-  if (mode_ == Mode::kParallel) DrainOutboxes();
+  if (parallel_) DrainOutboxes();
   RefreshDirty();
   const EventKey* k0 = loops_[0]->queue.NextKey();
   const uint32_t w = tree_.MinIndex();
@@ -272,7 +266,7 @@ bool Simulation::Step() {
 }
 
 size_t Simulation::Run(size_t max_events) {
-  if (mode_ == Mode::kParallel && max_events == SIZE_MAX) {
+  if (parallel_ && max_events == SIZE_MAX) {
     const uint64_t before = ExecutedEvents();
     RunUntilParallel(kNoDeadline - 1);
     return static_cast<size_t>(ExecutedEvents() - before);
@@ -304,7 +298,7 @@ void Simulation::RunUntilSerial(SimTime deadline) {
 }
 
 void Simulation::RunUntil(SimTime deadline) {
-  if (mode_ == Mode::kParallel) {
+  if (parallel_) {
     RunUntilParallel(deadline);
   } else {
     RunUntilSerial(deadline);

@@ -9,12 +9,10 @@
 // order events fire in" is a property of the simulation's history, not of
 // the thread interleaving that executes it.
 //
-// `parallel_workers` selects among three engines that produce byte-identical
-// same-seed traces and metrics:
-//   0  — the classic single-queue engine: every event lands on loop 0 in one
-//        global schedule order (the pre-PDES behavior, bit-for-bit);
+// `parallel_workers` (>= 1) selects between two engines that produce
+// byte-identical same-seed traces and metrics:
 //   1  — per-node loops multiplexed on the calling thread in canonical key
-//        order (the PDES oracle);
+//        order (the PDES oracle, and the default);
 //   N  — a pool of N threads executing node loops round-by-round under
 //        conservative synchronization: loop i may run strictly below
 //        min(cap, min over other loops j of E_j + L(j→i)), where E_j is
@@ -94,9 +92,9 @@ struct NodeLoop {
 /// time or global randomness.
 class Simulation {
  public:
-  /// `parallel_workers` selects the engine; see the file comment. All modes
-  /// produce byte-identical same-seed output.
-  explicit Simulation(uint64_t seed = 1, int parallel_workers = 0);
+  /// `parallel_workers` (>= 1) selects the engine; see the file comment.
+  /// Every setting produces byte-identical same-seed output.
+  explicit Simulation(uint64_t seed = 1, int parallel_workers = 1);
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -222,8 +220,6 @@ class Simulation {
   void PublishEngineMetrics();
 
  private:
-  enum class Mode { kLegacy, kSingleLoop, kParallel };
-
   // EventIds pack (loop shard << kSeqBits) | local id, where the local id is
   // the queue's (generation << slot-bits) | slot stamp.
   static constexpr int kSeqBits = EventQueue::kSlotBits + EventQueue::kGenBits;
@@ -269,7 +265,7 @@ class Simulation {
     return d < uniform_lookahead_ ? d : uniform_lookahead_;
   }
 
-  Mode mode_;
+  const bool parallel_;  // parallel_workers > 1: run rounds on the pool
   SimTime now_ = 0;
   uint64_t seed_;
   int parallel_workers_;
@@ -301,7 +297,7 @@ class Simulation {
   uint64_t published_posts_ = 0;
   bool horizon_published_ = false;
 
-  // --- worker pool (kParallel only; threads start lazily) -----------------
+  // --- worker pool (parallel_ only; threads start lazily) -----------------
   std::vector<std::thread> threads_;
   std::mutex pool_mu_;  // guards round_seq_/next_/pending_, in_round_, stop_
   std::condition_variable pool_cv_;   // round published / stop

@@ -19,8 +19,8 @@ void CommitAcceptor::OnPairAttach() {
 }
 
 void CommitAcceptor::OnRequest(const net::Message& msg) {
-  // One-way fast-path traffic first: it carries no reply path, so a backup
-  // member just drops it (the primary's log is the durable one).
+  // One-way vote and reclaim traffic first: it carries no reply path, so a
+  // backup member just drops it (the primary's log is the durable one).
   if (msg.tag == kTmfPaxosVote) {
     if (IsPrimary()) HandleVote(msg);
     return;
@@ -290,11 +290,10 @@ struct PhaseTally {
 
 }  // namespace
 
-void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
-                     const Transid& t, uint32_t attempt, Disposition proposed,
-                     bool skip_prepare,
-                     std::function<void(const PaxosRoundOutcome&)> done) {
-  const auto endpoints = cfg.Endpoints();
+void RunPaxosRound(os::Process* proc, const PaxosRoundConfig& cfg,
+                   const Transid& t, uint32_t attempt, Disposition proposed,
+                   std::function<void(const PaxosRoundOutcome&)> done) {
+  const auto& endpoints = cfg.endpoints;
   const int n = static_cast<int>(endpoints.size());
   const int majority = n / 2 + 1;
   if (n == 0) {
@@ -345,11 +344,6 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
                  opt);
     }
   };
-
-  if (skip_prepare) {
-    start_accept(proposed, {});
-    return;
-  }
 
   auto tally = std::make_shared<PhaseTally>();
   for (const auto& [node, name] : endpoints) {
@@ -418,22 +412,15 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
   }
 }
 
-void RunPaxosRound(os::Process* proc, const PaxosRoundConfig& cfg,
-                   const Transid& t, uint32_t attempt, Disposition proposed,
-                   bool skip_prepare, std::function<void(Disposition)> done) {
-  RunPaxosRoundEx(proc, cfg, t, attempt, proposed, skip_prepare,
-                  [done](const PaxosRoundOutcome& o) { done(o.value); });
-}
-
 void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
-                         const Transid& t, uint32_t attempt, bool fast_path,
+                         const Transid& t, uint32_t attempt,
                          std::function<void(Disposition)> done) {
   PaxosRoundConfig home_cfg = cfg;
-  home_cfg.voter = fast_path ? t.home_node : 0;
-  RunPaxosRoundEx(
-      proc, home_cfg, t, attempt, Disposition::kAborted, /*skip_prepare=*/false,
-      [proc, cfg, t, attempt, fast_path, done](const PaxosRoundOutcome& o) {
-        if (o.sealed || o.value != Disposition::kCommitted || !fast_path) {
+  home_cfg.voter = t.home_node;
+  RunPaxosRound(
+      proc, home_cfg, t, attempt, Disposition::kAborted,
+      [proc, cfg, t, attempt, done](const PaxosRoundOutcome& o) {
+        if (o.sealed || o.value != Disposition::kCommitted) {
           done(o.value);
           return;
         }
@@ -455,9 +442,8 @@ void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
         for (net::NodeId p : o.participants) {
           PaxosRoundConfig vcfg = cfg;
           vcfg.voter = p;
-          RunPaxosRoundEx(
+          RunPaxosRound(
               proc, vcfg, t, attempt, Disposition::kAborted,
-              /*skip_prepare=*/false,
               [tally, done](const PaxosRoundOutcome& vo) {
                 if (tally->fired) return;
                 if (vo.sealed) {

@@ -130,8 +130,69 @@ TEST(ChaosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
     EXPECT_EQ(r.recoveries_completed, oracle.recoveries_completed)
         << "workers=" << workers;
     EXPECT_EQ(r.faults_fired, oracle.faults_fired) << "workers=" << workers;
+    EXPECT_EQ(r.stats_dump, oracle.stats_dump) << "workers=" << workers;
   }
 }
+
+// Engine identity beyond the 3-node golden: the no-fault campaign at 3 and
+// 16 nodes, 8 clients each, must produce byte-equal full Stats dumps at
+// every worker count — every counter and histogram, not a coarse
+// fingerprint.
+TEST(ChaosParallelTest, NoFaultCampaignStatsIdenticalAtAnyWorkerCount) {
+  for (int nodes : {3, 16}) {
+    ChaosCampaignConfig cfg;
+    cfg.seed = 1;
+    cfg.nodes = nodes;
+    cfg.accounts_per_node = 20;
+    cfg.clients_per_node = 8;
+    cfg.schedule.faults = 0;
+    cfg.schedule.min_node_crashes = 0;
+    ChaosCampaignResult oracle = RunChaosCampaign(cfg);
+    EXPECT_TRUE(oracle.quiesced) << nodes << " nodes";
+    EXPECT_TRUE(oracle.violations.empty()) << nodes << " nodes";
+    EXPECT_GT(oracle.txns_committed, 0u) << nodes << " nodes";
+    ASSERT_FALSE(oracle.stats_dump.empty());
+    for (int workers : {2, 4}) {
+      cfg.parallel_workers = workers;
+      ChaosCampaignResult r = RunChaosCampaign(cfg);
+      EXPECT_EQ(r.stats_dump, oracle.stats_dump)
+          << nodes << " nodes, workers=" << workers;
+      EXPECT_EQ(r.journal, oracle.journal)
+          << nodes << " nodes, workers=" << workers;
+    }
+  }
+}
+
+// Regression: storm seed 242 (3 nodes x 2 clients, 10 faults, two or more
+// node crashes, 2-4 s heals, 250 ms in-doubt probing). A transaction read
+// account 30 under lock on node 2, node 2 crashed and lost the lock, and
+// after recovery the transaction's retried update parked behind a newer
+// transaction's lock. The abort from the home arrived while it waited;
+// backout found nothing to undo, then the lock passed to the aborting
+// transaction and its stale write landed: balance sum 59986, not 60000.
+class ChaosLostUpdateTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChaosLostUpdateTest, CrashedParticipantLeavesNoStrayWrite) {
+  ChaosCampaignConfig cfg;
+  cfg.seed = 242;
+  cfg.nodes = 3;
+  cfg.accounts_per_node = 20;
+  cfg.clients_per_node = 2;
+  cfg.schedule.faults = 10;
+  cfg.schedule.min_node_crashes = 2;
+  cfg.schedule.w_crash = 1.5;
+  cfg.schedule.min_heal = 2'000'000;
+  cfg.schedule.max_heal = 4'000'000;
+  cfg.schedule.crash_recovery_pad = 4'000'000;
+  cfg.indoubt_resolve_interval = Millis(250);
+  cfg.parallel_workers = GetParam();
+  ChaosCampaignResult r = RunChaosCampaign(cfg);
+  EXPECT_GE(r.node_crashes, 2u);
+  ExpectSurvived(r, cfg.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ChaosLostUpdateTest,
+                         ::testing::Values(1, 2, 4));
 
 // The same storm with every node on the queue execution lane: clients
 // submit whole predeclared transactions to $QPLAN instead of running the

@@ -237,6 +237,51 @@ TEST_F(DiscProcessTest, AbortingTransactionRejectsNewWork) {
   EXPECT_TRUE(r->status.IsAborted());
 }
 
+// Work parked behind another transaction's lock must not run once its own
+// transaction has begun aborting: backout is already collecting the
+// transaction's images, so an update executed on the late grant would be
+// left behind for good. (A participant that lost the transaction's locks in
+// a crash hits exactly this: the retried update parks behind a newer
+// transaction and the abort arrives while it waits.)
+TEST_F(DiscProcessTest, ParkedWorkOfAbortingTransactionIsRefusedOnGrant) {
+  DiscRequest ins;
+  ins.file = "acct";
+  ins.key = ToBytes("a1");
+  ins.record = ToBytes("100");
+  Op(client_, kDiscInsert, ins, Txn(1));
+  sim_.Run();
+  EndTxn(Txn(1), DiscTxnState::kEnded);
+  sim_.Run();
+
+  // Txn 2 holds the record lock; txn 3's update parks behind it.
+  DiscRequest rd;
+  rd.file = "acct";
+  rd.key = ToBytes("a1");
+  rd.lock = true;
+  Op(client_, kDiscRead, rd, Txn(2));
+  sim_.Run();
+  DiscRequest up;
+  up.file = "acct";
+  up.key = ToBytes("a1");
+  up.record = ToBytes("999");
+  os::CallOptions opt;
+  opt.timeout = Seconds(30);
+  auto* r = Op(client2_, kDiscUpdate, up, Txn(3), opt);
+  sim_.RunFor(Millis(50));
+  ASSERT_FALSE(r->done);
+
+  // Txn 3 starts aborting while parked; then txn 2 commits and the lock
+  // passes to txn 3.
+  EndTxn(Txn(3), DiscTxnState::kAborting);
+  sim_.RunFor(Millis(1));
+  EndTxn(Txn(2), DiscTxnState::kEnded);
+  sim_.Run();
+  ASSERT_TRUE(r->done);
+  EXPECT_TRUE(r->status.IsAborted()) << r->status.ToString();
+  EXPECT_EQ(ToString(volume_.ReadRecord("acct", Slice("a1")).value), "100");
+  EXPECT_TRUE(trail_.RecordsForTransaction(Transid{1, 0, 3}).empty());
+}
+
 TEST_F(DiscProcessTest, UndoCompensatesAndAbortReleasesLocks) {
   DiscRequest ins;
   ins.file = "acct";

@@ -1,11 +1,11 @@
 // Paxos Commit and in-doubt negotiation tests.
 //
-// The tentpole: with `commit_protocol = kPaxos` the home TMP replicates its
-// commit/abort decision to 2F+1 CommitAcceptor pairs, the commit point
-// becomes "a majority durably accepted" instead of the home MAT force, and
-// any in-doubt party (participant, ROLLFORWARD, respawned home) can settle
-// against a live acceptor majority while the home is down — the classic
-// 2PC blocked window. These tests drive the protocol through the same storm
+// With `commit_protocol = kPaxos` every participant votes its prepared
+// state straight to F+1 of 2F+1 CommitAcceptor pairs, the commit point
+// becomes the home's tally of forced-vote acks instead of the home MAT
+// force, and any in-doubt party (participant, ROLLFORWARD, respawned home)
+// can settle against a live acceptor majority while the home is down — the
+// classic 2PC blocked window. These tests drive the protocol through the same storm
 // schedules, worker sweeps, and hand-built crash windows the 2PC campaign
 // uses, plus regression tests for the negotiation bugfixes that ride along:
 // concurrent (non-head-of-line) recovery negotiation, capped backoff with a
@@ -72,32 +72,23 @@ void ExpectSurvived(const ChaosCampaignResult& r, uint64_t seed) {
   EXPECT_EQ(r.recoveries_completed, r.node_crashes) << "seed " << seed;
 }
 
-// Two-phase commit stays the default, byte for byte: a deployment that
-// never mentions Paxos must spawn no acceptors, replicate nothing, and
-// record nothing new (the pdes_oracle golden pins the full trace+stats
-// snapshot of that path against the pre-Paxos tree).
+// Two-phase commit stays the default: a deployment that never mentions
+// Paxos must spawn no acceptors, vote nowhere, and record nothing new (the
+// pdes_oracle golden pins the full trace+stats snapshot of that path).
 TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   tmf::TmpConfig cfg;
   EXPECT_EQ(cfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
-  EXPECT_EQ(cfg.commit_replication, 3);
-  EXPECT_TRUE(cfg.acceptor_nodes.empty());
-  EXPECT_EQ(cfg.acceptor_process, "$ACCEPT");
   EXPECT_FALSE(cfg.track_indoubt_hold);
-  // PR-10 knobs stay off until asked for: no direct voting, no explicit
-  // endpoint placement, no message accounting — pre-PR traces byte-identical.
-  EXPECT_FALSE(cfg.paxos_fast_path);
   EXPECT_TRUE(cfg.acceptor_endpoints.empty());
   EXPECT_FALSE(net::NetworkConfig{}.track_messages);
 
   tmf::NodeRecoveryConfig rcfg;
-  EXPECT_TRUE(rcfg.acceptor_nodes.empty());
   EXPECT_EQ(rcfg.retry_backoff_cap, Seconds(8));
-  EXPECT_FALSE(rcfg.paxos_fast_path);
   EXPECT_TRUE(rcfg.acceptor_endpoints.empty());
 
   ChaosCampaignConfig ccfg;
   EXPECT_EQ(ccfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
-  EXPECT_FALSE(ccfg.paxos_fast_path);
+  EXPECT_EQ(ccfg.parallel_workers, 1);
   EXPECT_FALSE(ccfg.track_messages);
 
   // A default (2PC) campaign must never touch the acceptor path.
@@ -129,7 +120,9 @@ TEST(PaxosDefaultsTest, BallotEncoding) {
 
 // The full PR-4 storm schedule under Paxos Commit: every seed must survive
 // the same invariants the 2PC campaign pins — zero oracle violations,
-// conserved balances, no leaks, every crashed node recovered.
+// conserved balances, no leaks, every crashed node recovered — and GC must
+// keep the acceptor log bounded: its high-water tracks in-flight
+// transactions, not throughput.
 class ChaosPaxosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosPaxosTest, SurvivesSeed) {
@@ -140,19 +133,23 @@ TEST_P(ChaosPaxosTest, SurvivesSeed) {
   EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
   EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
   ExpectSurvived(r, seed);
+  EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
+  EXPECT_LT(r.acceptor_log_peak, 100u)
+      << "seed " << seed << ": acceptor log grew with throughput, not load";
+  EXPECT_LT(r.acceptor_log_final, 32u)
+      << "seed " << seed << ": GC left instances behind";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPaxosTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-// The same paxos storm is byte-identical at every engine setting: legacy
-// single queue (0), the PDES oracle (1), and worker pools of 2, 4, and 8.
+// The same paxos storm is byte-identical at every engine setting: the PDES
+// oracle (1) and worker pools of 2, 4, and 8.
 TEST(ChaosPaxosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
   ChaosCampaignConfig cfg = PaxosCampaignConfig(7);
-  cfg.parallel_workers = 0;
   ChaosCampaignResult base = RunChaosCampaign(cfg);
   ExpectSurvived(base, 7);
-  for (int workers : {1, 2, 4, 8}) {
+  for (int workers : {2, 4, 8}) {
     cfg.parallel_workers = workers;
     ChaosCampaignResult r = RunChaosCampaign(cfg);
     EXPECT_EQ(r.journal, base.journal) << "workers=" << workers;
@@ -166,6 +163,7 @@ TEST(ChaosPaxosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
     EXPECT_EQ(r.indoubt_resolved_via_acceptors,
               base.indoubt_resolved_via_acceptors)
         << "workers=" << workers;
+    EXPECT_EQ(r.stats_dump, base.stats_dump) << "workers=" << workers;
   }
 }
 
@@ -221,11 +219,11 @@ struct Rig {
   std::unique_ptr<tmf::FileSystem> fs;
 
   Rig(uint64_t seed, int nodes, bool paxos, SimDuration resolve_interval = 0,
-      bool fast_path = false, int replication = 3, int workers = 0)
-      // The fast path's periodic acceptor sweep keeps the event queue alive
-      // forever, so those rigs must settle with bounded runs too.
+      int replication = 3, int workers = 1)
+      // The periodic acceptor sweep keeps the event queue alive forever, so
+      // paxos rigs must settle with bounded runs too.
       : sim(seed, workers), deploy(&sim),
-        bounded_(resolve_interval > 0 || fast_path) {
+        bounded_(resolve_interval > 0 || paxos) {
     for (int n = 1; n <= nodes; ++n) {
       NodeSpec spec;
       spec.id = static_cast<net::NodeId>(n);
@@ -235,18 +233,10 @@ struct Rig {
       spec.tmp_config.indoubt_resolve_interval = resolve_interval;
       if (paxos) {
         spec.tmp_config.commit_protocol = tmf::CommitProtocol::kPaxos;
-        if (fast_path) {
-          spec.tmp_config.paxos_fast_path = true;
-          for (int k = 0; k < replication; ++k) {
-            spec.tmp_config.acceptor_endpoints.emplace_back(
-                static_cast<net::NodeId>(k % nodes + 1),
-                "$ACCEPT." + std::to_string(k));
-          }
-        } else {
-          for (int a = 1; a <= 3 && a <= nodes; ++a) {
-            spec.tmp_config.acceptor_nodes.push_back(
-                static_cast<net::NodeId>(a));
-          }
+        for (int k = 0; k < replication; ++k) {
+          spec.tmp_config.acceptor_endpoints.emplace_back(
+              static_cast<net::NodeId>(k % nodes + 1),
+              "$ACCEPT." + std::to_string(k));
         }
       }
       deploy.AddNode(spec);
@@ -310,88 +300,21 @@ struct Rig {
   bool bounded_ = false;
 };
 
-// The window Paxos Commit exists for: the coordinator reaches its commit
-// point (a majority of acceptors durably accepted kCommitted) and dies
-// before any phase-2 message leaves — the exact "crashed between phase 1
-// and phase 2" schedule. Under 2PC the participant blocks until the home is
-// repaired; here it learns the outcome from the surviving acceptor majority
-// while the home is still down, and the home's own recovery later adopts
-// the same decision from the acceptors (its MAT never saw the commit).
-TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
-  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500));
-  rig.SpawnClient(1);
-  uint64_t t = rig.Begin(1);
-
-  AtomicityOracle oracle;
-  oracle.RegisterIntent(t, "m1",
-                        {{1, "$DATA1", "mark1"}, {2, "$DATA2", "mark2"}});
-  rig.Insert(t, "mark1", "m1");
-  rig.Insert(t, "mark2", "m1");
-
-  // END; crash the home the moment a majority of acceptors hold the
-  // decision (their logs mutate before the force-delayed grant replies, so
-  // the home has not even learned of its own commit point yet, let alone
-  // sent phase 2).
-  rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                      tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  auto accepted = [&](net::NodeId n) {
-    // Decision-replication instances live under voter 0 of the re-keyed log.
-    auto& entries =
-        rig.deploy.GetNode(n)->storage().acceptor_log.entries;
-    auto it = entries.find({t, uint16_t{0}});
-    return it != entries.end() && it->second.has_value &&
-           it->second.value == tmf::Disposition::kCommitted;
-  };
-  for (int i = 0; i < 4000 && !(accepted(2) && accepted(3)); ++i) {
-    rig.sim.RunFor(Micros(200));
-  }
-  ASSERT_TRUE(accepted(2) && accepted(3));
-  ASSERT_EQ(rig.MatLookup(1, t), -1) << "home reached its MAT before crash; "
-                                       "the window closed too late";
-  rig.deploy.CrashNode(1);
-
-  // With the coordinator dead, the participant's in-doubt resolve tick
-  // fails over to the acceptors and applies the committed outcome.
-  rig.sim.RunFor(Seconds(5));
-  EXPECT_EQ(rig.MatLookup(2, t), 1);
-  EXPECT_EQ(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
-  EXPECT_GE(rig.sim.GetStats().Counter("tmf.paxos_resolved_commits"), 1);
-
-  // Home recovery: its MAT has no record, but presumed abort would be
-  // unsound now — ROLLFORWARD seals the instance at the acceptors and
-  // redoes the home's own forced writes under the adopted commit.
-  bool recovered = false;
-  rig.deploy.RecoverNode(1, [&](const std::vector<tmf::RollforwardReport>&) {
-    recovered = true;
-  });
-  rig.sim.RunFor(Seconds(10));
-  ASSERT_TRUE(recovered);
-  EXPECT_EQ(rig.MatLookup(1, t), 1);
-  EXPECT_GE(rig.sim.GetStats().Counter("recovery.paxos_resolves"), 1);
-
-  // Unknown to the client (it died with the home): the oracle demands
-  // all-or-nothing, and "all" is what the acceptors chose.
-  auto violations = oracle.Check(&rig.deploy);
-  for (const auto& v : violations) {
-    ADD_FAILURE() << "txn " << v.transid << ": " << v.detail;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Paxos Commit fast path (PR 10)
+// Multi-pair acceptor placement and the commit-point crash windows
 // ---------------------------------------------------------------------------
 
+// 2F+1 = 5 acceptors on three nodes: nodes 1 and 2 host two `$ACCEPT.<k>`
+// pairs each, so one node crash takes out two acceptors at once and every
+// vote needs F+1 = 3 forced copies.
 ChaosCampaignConfig FastPathCampaignConfig(uint64_t seed) {
   ChaosCampaignConfig cfg = PaxosCampaignConfig(seed);
-  cfg.paxos_fast_path = true;
+  cfg.commit_replication = 5;
   return cfg;
 }
 
-// The fast-path storm suite: the same PR-4 schedules the 2PC and
-// decision-replication campaigns survive, now with every participant voting
-// its prepared state straight to the acceptors and the home reclaiming the
-// instances afterwards. Same invariants, plus the acceptor log must stay
-// bounded — its high-water tracks in-flight transactions, not throughput.
+// The same storm schedules again, on the five-acceptor placement. Same
+// invariants as ChaosPaxosTest, including the bounded acceptor log.
 class ChaosFastPathTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosFastPathTest, SurvivesSeed) {
@@ -412,14 +335,13 @@ TEST_P(ChaosFastPathTest, SurvivesSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastPathTest,
                          ::testing::Range<uint64_t>(1, 11));
 
-// The fast-path storm — coordinator crashes included — replays
+// The five-acceptor storm — coordinator crashes included — replays
 // byte-identically across the engine settings.
 TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
   ChaosCampaignConfig cfg = FastPathCampaignConfig(7);
-  cfg.parallel_workers = 0;
   ChaosCampaignResult base = RunChaosCampaign(cfg);
   ExpectSurvived(base, 7);
-  for (int workers : {1, 2, 4}) {
+  for (int workers : {2, 4}) {
     cfg.parallel_workers = workers;
     ChaosCampaignResult r = RunChaosCampaign(cfg);
     EXPECT_EQ(r.journal, base.journal) << "workers=" << workers;
@@ -432,11 +354,11 @@ TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
         << "workers=" << workers;
     EXPECT_EQ(r.acceptor_log_final, base.acceptor_log_final)
         << "workers=" << workers;
+    EXPECT_EQ(r.stats_dump, base.stats_dump) << "workers=" << workers;
   }
 }
 
-// Coordinator crash mid-fast-path, replayed at several engine worker
-// counts: the home dies after the participants' votes reached the acceptor
+// Coordinator crash mid-commit, replayed at several engine worker counts: the home dies after the participants' votes reached the acceptor
 // logs but before its own MAT saw the commit point. The participant's
 // in-doubt tick must settle against the surviving acceptors (home instance
 // first — it names the voters — then each voter's), and the home's own
@@ -446,7 +368,7 @@ class FastPathOracleTest : public ::testing::TestWithParam<int> {};
 TEST_P(FastPathOracleTest, CoordinatorCrashMidFastPathResolvesViaAcceptors) {
   const int workers = GetParam();
   Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true, /*replication=*/3, workers);
+          /*replication=*/3, workers);
   rig.SpawnClient(1);
   uint64_t t = rig.Begin(1);
 
@@ -509,8 +431,7 @@ INSTANTIATE_TEST_SUITE_P(Workers, FastPathOracleTest,
 // a resolver arriving later must be answered from the sealed ring, not by
 // (unsoundly) abort-fixing a fresh empty instance.
 TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
-  Rig rig(19, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true);
+  Rig rig(19, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500));
   rig.SpawnClient(1);
   uint64_t t = rig.Begin(1);
   rig.Insert(t, "mark1", "m1");
@@ -554,7 +475,6 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
   }
   tmf::Disposition chosen = tmf::Disposition::kUnknown;
   tmf::ResolvePaxosOutcome(rig.client, cfg, Transid::Unpack(t), /*attempt=*/5,
-                           /*fast_path=*/true,
                            [&](tmf::Disposition d) { chosen = d; });
   rig.sim.RunFor(Seconds(2));
   EXPECT_EQ(chosen, tmf::Disposition::kCommitted)
@@ -567,7 +487,7 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
 // of all five logs per voter, and GC seals across every pair.
 TEST(FastPathPlacementTest, FiveAcceptorsOnThreeNodes) {
   Rig rig(23, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true, /*replication=*/5);
+          /*replication=*/5);
   // Placement k % 3 + 1: node 1 hosts pairs {0, 3}, node 2 {1, 4}, node 3
   // {2}.
   EXPECT_EQ(rig.deploy.GetNode(1)->storage().acceptor_logs.size(), 2u);

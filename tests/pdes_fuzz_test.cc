@@ -140,11 +140,9 @@ TEST(PdesFuzzTest, RandomTopologiesAgreeAcrossEngines) {
       ASSERT_NE(line, "CANCELLED-FIRED") << "trial " << trial;
     }
     // Worker pools must match the oracle byte-for-byte: they share its
-    // (time, origin, seq) total order. The legacy engine (workers=0) is
-    // excluded by design: it orders same-time ties by global schedule
-    // sequence instead, which can differ when a cross-node post and a local
-    // event collide on the same microsecond — the application workloads
-    // pinned by the goldens never hit that, but this fuzz deliberately does.
+    // (time, origin, seq) total order, including same-microsecond collisions
+    // of a cross-node post and a local event, which this fuzz deliberately
+    // provokes.
     for (int workers : {2, 4, 8}) {
       EXPECT_EQ(RunPlan(plan, trial, workers), oracle)
           << "trial " << trial << " workers=" << workers;

@@ -2,11 +2,7 @@
 // whose complete observable output — per-transaction trace dumps, the fault
 // journal, and the metric dump — is pinned in a golden file.
 //
-// The golden file was generated by the pre-refactor single-queue engine
-// (after the deterministic-attribution prep: per-node span ids, per-node
-// PRNG streams, source-attributed network randomness). Every engine mode
-// must reproduce it byte-for-byte:
-//   * parallel_workers = 0  — the classic single-queue engine,
+// Every engine setting must reproduce the golden file byte-for-byte:
 //   * parallel_workers = 1  — the per-node-loop engine, multiplexed on one
 //     thread in canonical (time, node, seq) order,
 //   * parallel_workers = 2/4/8 — the conservative-PDES thread pool.
@@ -237,14 +233,14 @@ std::string ReadGolden() {
 TEST(PdesOracle, ByteIdenticalAcrossEngines) {
   if (std::getenv("ENCOMPASS_REGOLDEN") != nullptr) {
     std::ofstream out(GoldenPath(), std::ios::binary);
-    out << RunScenario(0);
+    out << RunScenario(1);
     GTEST_SKIP() << "golden regenerated at " << GoldenPath();
   }
   const std::string golden = ReadGolden();
   ASSERT_FALSE(golden.empty())
       << "missing golden file " << GoldenPath()
       << " (regenerate with ENCOMPASS_REGOLDEN=1)";
-  for (int workers : {0, 1, 2, 4, 8}) {
+  for (int workers : {1, 2, 4, 8}) {
     const std::string actual = RunScenario(workers);
     if (actual != golden) {
       // Dump the divergent output next to the golden for inspection.

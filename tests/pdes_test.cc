@@ -196,7 +196,7 @@ TEST(NodeRngTest, StreamsAreDistinctAndSeedStable) {
   EXPECT_EQ(n1a, n1b);
   EXPECT_NE(n1a, n2a);
   EXPECT_NE(n1b, n1c);
-  // The node streams are also distinct from the legacy global stream.
+  // The node streams are also distinct from the global stream.
   std::vector<uint64_t> global;
   for (int i = 0; i < 16; ++i) global.push_back(sim_b.Rng().Next());
   EXPECT_NE(global, n1a);
@@ -286,16 +286,16 @@ std::vector<std::string> RunMicroWorkload(int workers) {
 }
 
 TEST(EngineTest, AllEnginesAgreeOnMicroWorkload) {
-  const std::vector<std::string> legacy = RunMicroWorkload(0);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(std::count(legacy.begin(), legacy.end(), "CANCELLED?"), 0);
-  for (int workers : {1, 2, 8}) {
-    EXPECT_EQ(RunMicroWorkload(workers), legacy) << "workers=" << workers;
+  const std::vector<std::string> oracle = RunMicroWorkload(1);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_EQ(std::count(oracle.begin(), oracle.end(), "CANCELLED?"), 0);
+  for (int workers : {2, 4, 8}) {
+    EXPECT_EQ(RunMicroWorkload(workers), oracle) << "workers=" << workers;
   }
 }
 
 TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
-  for (int workers : {0, 1, 2}) {
+  for (int workers : {1, 2}) {
     Simulation sim(1, workers);
     sim.NoteLinkLatency(Millis(5));
     sim.EnsureNode(1);
@@ -311,7 +311,7 @@ TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
 }
 
 TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
-  for (int workers : {0, 1, 4}) {
+  for (int workers : {1, 4}) {
     Simulation sim(1, workers);
     sim.NoteLinkLatency(Millis(5));
     for (uint16_t n = 1; n <= 3; ++n) {
@@ -379,10 +379,10 @@ std::vector<std::string> RunHeteroWorkload(int workers) {
 }
 
 TEST(EngineTest, PerLinkLookaheadPreservesIdentityOnHeteroTopology) {
-  const std::vector<std::string> legacy = RunHeteroWorkload(0);
-  ASSERT_GT(legacy.size(), 8u);
-  for (int workers : {1, 2, 4, 8}) {
-    EXPECT_EQ(RunHeteroWorkload(workers), legacy) << "workers=" << workers;
+  const std::vector<std::string> oracle = RunHeteroWorkload(1);
+  ASSERT_GT(oracle.size(), 8u);
+  for (int workers : {2, 4, 8}) {
+    EXPECT_EQ(RunHeteroWorkload(workers), oracle) << "workers=" << workers;
   }
 }
 

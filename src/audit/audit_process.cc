@@ -16,6 +16,13 @@ Bytes EncodeAuditBatch(const std::vector<AuditRecord>& records) {
   return out;
 }
 
+Bytes FrameAuditBatch(const Slice& encoded_record) {
+  Bytes out;
+  PutVarint32(&out, 1);
+  PutLengthPrefixed(&out, encoded_record);
+  return out;
+}
+
 Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
   Slice in = payload;
   uint32_t n;

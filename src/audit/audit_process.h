@@ -27,6 +27,9 @@ enum AuditTag : uint32_t {
 
 /// Encodes a batch of audit records for a kAuditAppend payload.
 Bytes EncodeAuditBatch(const std::vector<AuditRecord>& records);
+/// A one-record batch from an already-encoded record: the same bytes as
+/// EncodeAuditBatch({record}), without a decode and re-encode.
+Bytes FrameAuditBatch(const Slice& encoded_record);
 /// Decodes a batch; Corruption on malformed input.
 Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload);
 

@@ -1,41 +1,72 @@
 #include "common/coding.h"
 
+#include <algorithm>
+
 namespace encompass {
 
-void PutFixed8(Bytes* dst, uint8_t v) { dst->push_back(v); }
+namespace {
 
-void PutFixed16(Bytes* dst, uint16_t v) {
-  dst->push_back(static_cast<uint8_t>(v));
-  dst->push_back(static_cast<uint8_t>(v >> 8));
+/// First capacity of an empty buffer: one allocation covers a typical
+/// message payload or checkpoint delta.
+constexpr size_t kFirstReserve = 64;
+
+/// Makes room for `n` more bytes in one growth step: an empty buffer gets at
+/// least kFirstReserve, a full one at least doubles. std::vector's own growth
+/// would size an empty buffer to its first field and reallocate on nearly
+/// every field after it.
+void Grow(Bytes* dst, size_t n) {
+  const size_t need = dst->size() + n;
+  if (need > dst->capacity()) {
+    dst->reserve(std::max({need, 2 * dst->capacity(), kFirstReserve}));
+  }
 }
 
-void PutFixed32(Bytes* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) dst->push_back(static_cast<uint8_t>(v >> (8 * i)));
+/// The one append path of every Put*: each field is written in one step.
+void Append(Bytes* dst, const uint8_t* p, size_t n) {
+  Grow(dst, n);
+  dst->insert(dst->end(), p, p + n);
 }
 
-void PutFixed64(Bytes* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) dst->push_back(static_cast<uint8_t>(v >> (8 * i)));
+template <typename T>
+void PutFixed(Bytes* dst, T v) {
+  uint8_t buf[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    buf[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  Append(dst, buf, sizeof(T));
 }
 
-void PutVarint32(Bytes* dst, uint32_t v) {
+/// LEB128 into buf (at least 10 bytes); returns the encoded length.
+size_t EncodeVarint64(uint8_t* buf, uint64_t v) {
+  size_t n = 0;
   while (v >= 0x80) {
-    dst->push_back(static_cast<uint8_t>(v) | 0x80);
+    buf[n++] = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  dst->push_back(static_cast<uint8_t>(v));
+  buf[n++] = static_cast<uint8_t>(v);
+  return n;
 }
+
+}  // namespace
+
+void PutFixed8(Bytes* dst, uint8_t v) { Append(dst, &v, 1); }
+void PutFixed16(Bytes* dst, uint16_t v) { PutFixed(dst, v); }
+void PutFixed32(Bytes* dst, uint32_t v) { PutFixed(dst, v); }
+void PutFixed64(Bytes* dst, uint64_t v) { PutFixed(dst, v); }
+
+void PutVarint32(Bytes* dst, uint32_t v) { PutVarint64(dst, v); }
 
 void PutVarint64(Bytes* dst, uint64_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  dst->push_back(static_cast<uint8_t>(v));
+  uint8_t buf[10];
+  Append(dst, buf, EncodeVarint64(buf, v));
 }
 
 void PutLengthPrefixed(Bytes* dst, const Slice& value) {
-  PutVarint64(dst, value.size());
-  dst->insert(dst->end(), value.data(), value.data() + value.size());
+  uint8_t buf[10];
+  const size_t len = EncodeVarint64(buf, value.size());
+  Grow(dst, len + value.size());  // prefix and value: one growth step
+  Append(dst, buf, len);
+  Append(dst, value.data(), value.size());
 }
 
 bool GetFixed8(Slice* input, uint8_t* v) {

@@ -91,22 +91,7 @@ void DiscProcess::OnRequest(const net::Message& msg) {
     // (the planner's Call retries reuse the request id, and after takeover
     // the mirrored reply cache answers retried batches without re-applying
     // their mutations).
-    RequestKey rk{msg.src, msg.request_id};
-    if (msg.request_id != 0) {
-      auto cached = reply_cache_.find(rk);
-      if (cached != reply_cache_.end()) {
-        stats().Incr(m_.dedup_replays);
-        SendReply(msg.src, cached->second.tag, msg.request_id,
-                  Status(cached->second.status, cached->second.message),
-                  *cached->second.payload);
-        return;
-      }
-      if (in_flight_.count(rk)) {
-        stats().Incr(m_.dedup_inflight_drops);
-        return;
-      }
-      in_flight_.insert(rk);
-    }
+    if (SuppressDuplicate(msg)) return;
     HandlePlannedBatch(msg);
     return;
   }
@@ -117,26 +102,26 @@ void DiscProcess::OnRequest(const net::Message& msg) {
     return;
   }
 
-  // Duplicate suppression: answered requests are replayed from the cache;
-  // requests still being processed (e.g. parked on a lock) are dropped —
-  // the eventual reply answers the retry too (same request id).
-  RequestKey rk{msg.src, msg.request_id};
-  if (msg.request_id != 0) {
-    auto cached = reply_cache_.find(rk);
-    if (cached != reply_cache_.end()) {
-      stats().Incr(m_.dedup_replays);
-      SendReply(msg.src, cached->second.tag, msg.request_id,
-                Status(cached->second.status, cached->second.message),
-                *cached->second.payload);
-      return;
-    }
-    if (in_flight_.count(rk)) {
-      stats().Incr(m_.dedup_inflight_drops);
-      return;
-    }
-    in_flight_.insert(rk);
-  }
+  if (SuppressDuplicate(msg)) return;
   HandleOperation(msg, *req);
+}
+
+bool DiscProcess::SuppressDuplicate(const net::Message& msg) {
+  if (msg.request_id == 0) return false;
+  const RequestKey rk{msg.src, msg.request_id};
+  auto cached = reply_cache_.find(rk);
+  if (cached != reply_cache_.end()) {
+    stats().Incr(m_.dedup_replays);
+    SendReply(msg.src, cached->second.tag, msg.request_id,
+              Status(cached->second.status, cached->second.message),
+              *cached->second.payload);
+    return true;
+  }
+  if (!in_flight_.insert(rk).second) {  // e.g. still parked on a lock
+    stats().Incr(m_.dedup_inflight_drops);
+    return true;
+  }
+  return false;
 }
 
 void DiscProcess::HandleOperation(const net::Message& msg, const DiscRequest& req) {
@@ -548,19 +533,11 @@ void DiscProcess::EmitAudit(const Transid& transid, storage::MutationOp op,
 void DiscProcess::PumpAuditQueue() {
   if (audit_in_flight_ || audit_queue_.empty() || !IsPrimary()) return;
   audit_in_flight_ = true;
-  Slice head(audit_queue_.front());
-  auto rec = audit::AuditRecord::Decode(&head);
-  if (!rec.ok()) {  // cannot happen; drop defensively
-    audit_queue_.pop_front();
-    audit_in_flight_ = false;
-    PumpAuditQueue();
-    return;
-  }
   os::CallOptions opt;
   opt.timeout = Millis(500);
   opt.retries = 4;
   Call(net::Address(node()->id(), config_.audit_process), audit::kAuditAppend,
-       audit::EncodeAuditBatch({*rec}),
+       audit::FrameAuditBatch(Slice(audit_queue_.front())),
        [this](const Status& s, const net::Message&) {
          audit_in_flight_ = false;
          if (s.ok()) {
@@ -669,9 +646,12 @@ void DiscProcess::MarkResolved(const Transid& transid) {
 void DiscProcess::CacheReply(const RequestKey& rk, uint32_t tag,
                              const Status& status,
                              std::shared_ptr<const Bytes> payload) {
-  if (reply_cache_.count(rk)) return;
-  reply_cache_[rk] =
-      CachedReply{tag, status.code(), status.message(), std::move(payload)};
+  if (!reply_cache_
+           .try_emplace(rk, CachedReply{tag, status.code(), status.message(),
+                                        std::move(payload)})
+           .second) {
+    return;
+  }
   reply_cache_order_.push_back(rk);
   while (reply_cache_order_.size() > config_.reply_cache_capacity) {
     reply_cache_.erase(reply_cache_order_.front());
@@ -863,9 +843,12 @@ void DiscProcess::OnBackupAttached() {
 
   // Full-state resynchronization: replay every held lock, the aborting set,
   // and the reply cache as one checkpoint (sent immediately — a fresh backup
-  // must not sit unsynchronized for a coalescing window).
+  // must not sit unsynchronized for a coalescing window). The cache goes in
+  // insertion order, so the backup rebuilds the same eviction order and
+  // evicts the same (oldest) replies as the primary.
   CheckpointBatch batch;
-  for (const auto& [rk, cached] : reply_cache_) {
+  for (const RequestKey& rk : reply_cache_order_) {
+    const CachedReply& cached = reply_cache_.at(rk);
     CkptReply(&batch, rk, cached.tag, cached.status, cached.message,
               *cached.payload);
   }

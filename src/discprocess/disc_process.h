@@ -18,10 +18,11 @@
 
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "discprocess/disc_protocol.h"
 #include "discprocess/lock_manager.h"
@@ -78,6 +79,12 @@ class DiscProcess : public os::PairedProcess {
     std::shared_ptr<const Bytes> payload;
   };
   using RequestKey = std::pair<net::ProcessId, uint64_t>;
+  struct RequestKeyHash {
+    size_t operator()(const RequestKey& rk) const noexcept {
+      return std::hash<net::ProcessId>()(rk.first) * 31 +
+             std::hash<uint64_t>()(rk.second);
+    }
+  };
 
   /// Accumulates one operation's checkpoint entries, flushed as one message
   /// (or folded into the coalescing buffer when ckpt_coalesce_window > 0).
@@ -114,6 +121,11 @@ class DiscProcess : public os::PairedProcess {
   void PumpAuditQueue();
   void CacheReply(const RequestKey& rk, uint32_t tag, const Status& status,
                   std::shared_ptr<const Bytes> payload);
+  /// Duplicate suppression for a request about to execute: replays a cached
+  /// reply, or drops a retry of a request still in progress (its eventual
+  /// reply answers the retry too — same request id). Returns true when the
+  /// request was handled here; otherwise marks it in flight.
+  bool SuppressDuplicate(const net::Message& msg);
 
   // Checkpoint encoding helpers.
   void CkptGrant(CheckpointBatch* batch, const Transid& owner, const LockKey& key);
@@ -157,9 +169,9 @@ class DiscProcess : public os::PairedProcess {
   std::set<uint64_t> resolved_;
   std::deque<uint64_t> resolved_order_;
 
-  std::map<RequestKey, CachedReply> reply_cache_;
-  std::deque<RequestKey> reply_cache_order_;
-  std::set<RequestKey> in_flight_;
+  std::unordered_map<RequestKey, CachedReply, RequestKeyHash> reply_cache_;
+  std::deque<RequestKey> reply_cache_order_;  ///< insertion (= eviction) order
+  std::unordered_set<RequestKey, RequestKeyHash> in_flight_;
 
   struct ParkedOp {
     net::Message msg;

@@ -143,10 +143,11 @@ void Node::Broadcast(const std::function<void(Process*)>& fn) {
 void Node::Route(net::Message msg) {
   if (msg.dst.node == id_) {
     // Intra-node: same-CPU shortcut or interprocessor bus.
-    int src_cpu = pid_to_cpu_.count(msg.src.pid) ? pid_to_cpu_[msg.src.pid] : -1;
-    int dst_cpu = -1;
+    const auto src_it = pid_to_cpu_.find(msg.src.pid);
+    const int src_cpu = src_it != pid_to_cpu_.end() ? src_it->second : -1;
     net::Pid dst_pid = msg.dst.by_name() ? LookupName(msg.dst.name) : msg.dst.pid;
-    if (pid_to_cpu_.count(dst_pid)) dst_cpu = pid_to_cpu_[dst_pid];
+    const auto dst_it = pid_to_cpu_.find(dst_pid);
+    const int dst_cpu = dst_it != pid_to_cpu_.end() ? dst_it->second : -1;
 
     SimDuration latency;
     if (dst_cpu >= 0 && dst_cpu == src_cpu) {
@@ -182,9 +183,24 @@ void Node::ScheduleDelivery(net::Message msg, SimDuration latency) {
     cpu_free_[dst_cpu] = start + config_.cpu_service_time;
     arrival = start + config_.cpu_service_time;
   }
-  sim()->AtOn(id_, arrival, [this, msg = std::move(msg)]() mutable {
-    DeliverLocal(std::move(msg));
-  });
+  uint32_t slot;
+  if (free_parked_.empty()) {
+    slot = static_cast<uint32_t>(parked_.size());
+    parked_.push_back(std::move(msg));
+  } else {
+    slot = free_parked_.back();
+    free_parked_.pop_back();
+    parked_[slot] = std::move(msg);
+  }
+  sim()->AtOn(id_, arrival, [this, slot]() { DeliverParked(slot); });
+}
+
+void Node::DeliverParked(uint32_t slot) {
+  // Move out and free the slot first: the handler may park further
+  // deliveries, which can reuse the slot or grow the slab.
+  net::Message msg = std::move(parked_[slot]);
+  free_parked_.push_back(slot);
+  DeliverLocal(std::move(msg));
 }
 
 void Node::DeliverLocal(net::Message msg) {

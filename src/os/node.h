@@ -124,6 +124,8 @@ class Node {
   };
 
   void AdoptProcess(int cpu, std::unique_ptr<Process> proc);
+  /// Fires the delivery parked in `slot` by ScheduleDelivery.
+  void DeliverParked(uint32_t slot);
   void SendFailureNotice(const net::Message& request, Status::Code code);
   /// Invokes fn(process) for every currently live process, robust to
   /// spawns/deaths during iteration.
@@ -139,6 +141,11 @@ class Node {
   std::map<std::string, net::Pid> names_;
   bool bus_up_[2] = {true, true};
   net::Pid next_pid_ = 1;
+  // In-flight deliveries: ScheduleDelivery parks each message here and its
+  // event captures only {this, slot}, so a hop allocates nothing once the
+  // slab is warm. Touched only by this node's own loop.
+  std::vector<net::Message> parked_;
+  std::vector<uint32_t> free_parked_;
 };
 
 }  // namespace encompass::os

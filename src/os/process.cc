@@ -73,7 +73,11 @@ uint64_t Process::Call(const net::Address& dst, uint32_t tag, Bytes payload,
   StampTrace(msg);
 
   PendingCall pending;
-  pending.original = msg;
+  if (options.retries > 0) {
+    pending.original = msg;
+  } else {
+    pending.original.dst = dst;
+  }
   pending.cb = std::move(cb);
   pending.retries_left = options.retries;
   pending.timeout = options.timeout;
@@ -156,24 +160,6 @@ void Process::ResolveCall(uint64_t request_id, const Status& status,
   RpcCallback cb = std::move(it->second.cb);
   pending_calls_.erase(it);
   cb(status, msg);
-}
-
-uint64_t Process::SetTimer(SimDuration delay, std::function<void()> fn) {
-  std::weak_ptr<Process*> guard = self_;
-  // Timers inherit the trace context they were armed under, so causal chains
-  // survive latency hops (audit-force delay, MAT force, disc service time).
-  const sim::TraceContext ctx = active_trace_;
-  // Pinned to the process's own node loop even when armed from setup code
-  // or a global event, so CancelTimer from the node's events stays loop-local.
-  return sim()->AfterOn(id().node, delay, [guard, ctx, fn = std::move(fn)]() {
-    auto locked = guard.lock();
-    if (!locked || *locked == nullptr) return;
-    const sim::TraceContext saved = (*locked)->active_trace_;
-    (*locked)->active_trace_ = ctx;
-    fn();
-    // fn may have destroyed the process; *locked is nulled in that case.
-    if (*locked != nullptr) (*locked)->active_trace_ = saved;
-  });
 }
 
 void Process::CancelTimer(uint64_t timer_id) {

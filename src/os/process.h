@@ -91,7 +91,11 @@ class Process {
   // -- Timers ---------------------------------------------------------------
 
   /// Runs fn after `delay` unless cancelled or this process dies first.
-  uint64_t SetTimer(SimDuration delay, std::function<void()> fn);
+  /// The callable is wrapped once, with the liveness guard and the trace
+  /// context, into the event's own closure: a capture of up to 16 bytes
+  /// stays inside the event (no allocation).
+  template <typename F>
+  uint64_t SetTimer(SimDuration delay, F&& fn);
   void CancelTimer(uint64_t timer_id);
 
   // -- Causal tracing --------------------------------------------------------
@@ -160,7 +164,9 @@ class Process {
   sim::TraceContext active_trace_;
 
   struct PendingCall {
-    net::Message original;  // for transparent retries
+    // The full request for transparent retries, kept only when retries > 0;
+    // otherwise only its dst is set (for the timeout text).
+    net::Message original;
     RpcCallback cb;
     uint64_t timer = 0;
     int retries_left = 0;
@@ -173,6 +179,26 @@ class Process {
   // before a CPU failure cannot touch a destroyed process.
   std::shared_ptr<Process*> self_ = std::make_shared<Process*>(this);
 };
+
+template <typename F>
+uint64_t Process::SetTimer(SimDuration delay, F&& fn) {
+  // Timers inherit the trace context they were armed under, so causal chains
+  // survive latency hops (audit-force delay, MAT force, disc service time).
+  // Pinned to the process's own node loop even when armed from setup code
+  // or a global event, so CancelTimer from the node's events stays loop-local.
+  return sim()->AfterOn(
+      id().node, delay,
+      [guard = std::weak_ptr<Process*>(self_), ctx = active_trace_,
+       fn = std::forward<F>(fn)]() mutable {
+        auto locked = guard.lock();
+        if (!locked || *locked == nullptr) return;
+        const sim::TraceContext saved = (*locked)->active_trace_;
+        (*locked)->active_trace_ = ctx;
+        fn();
+        // fn may have destroyed the process; *locked is nulled in that case.
+        if (*locked != nullptr) (*locked)->active_trace_ = saved;
+      });
+}
 
 }  // namespace encompass::os
 

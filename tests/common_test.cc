@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 
 #include "common/coding.h"
@@ -218,6 +219,90 @@ TEST(CodingTest, LengthPrefixTruncationFails) {
   Slice in(buf);
   Slice out;
   EXPECT_FALSE(GetLengthPrefixed(&in, &out));
+}
+
+// Byte-by-byte reference encoders: the obvious form of each wire format.
+// The production Put* must produce exactly these bytes.
+namespace ref {
+
+void Fixed(Bytes* dst, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) dst->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+void Varint(Bytes* dst, uint64_t v) {
+  while (v >= 0x80) {
+    dst->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  dst->push_back(static_cast<uint8_t>(v));
+}
+
+void LengthPrefixed(Bytes* dst, const Bytes& value) {
+  Varint(dst, value.size());
+  for (uint8_t b : value) dst->push_back(b);
+}
+
+}  // namespace ref
+
+// Applies one random field to both the production and the reference buffer.
+void PutRandomField(Random* rng, Bytes* got, Bytes* want) {
+  static constexpr uint64_t kEdges[] = {
+      0,          1,          0x7f,       0x80,           0x3fff,
+      0x4000,     0xffff,     0xffffffff, 0x100000000ULL, 0xffffffffffffffffULL};
+  const uint64_t v = rng->Bernoulli(0.5) ? kEdges[rng->Uniform(std::size(kEdges))]
+                                         : rng->Next() >> rng->Uniform(64);
+  switch (rng->Uniform(7)) {
+    case 0: PutFixed8(got, static_cast<uint8_t>(v)); ref::Fixed(want, v, 1); break;
+    case 1: PutFixed16(got, static_cast<uint16_t>(v)); ref::Fixed(want, v, 2); break;
+    case 2: PutFixed32(got, static_cast<uint32_t>(v)); ref::Fixed(want, v, 4); break;
+    case 3: PutFixed64(got, v); ref::Fixed(want, v, 8); break;
+    case 4:
+      PutVarint32(got, static_cast<uint32_t>(v));
+      ref::Varint(want, static_cast<uint32_t>(v));
+      break;
+    case 5: PutVarint64(got, v); ref::Varint(want, v); break;
+    default: {
+      // Empty, short, exactly the first reserve, and past it.
+      static constexpr size_t kLens[] = {0, 1, 40, 63, 64, 65, 200, 1000};
+      Bytes value(kLens[rng->Uniform(std::size(kLens))]);
+      for (auto& b : value) b = static_cast<uint8_t>(rng->Next());
+      PutLengthPrefixed(got, Slice(value));
+      ref::LengthPrefixed(want, value);
+    }
+  }
+}
+
+TEST(CodingTest, EncodersMatchByteByByteReference) {
+  Random rng(2024);
+  for (int round = 0; round < 2000; ++round) {
+    Bytes got, want;
+    if (round % 3 == 1) {
+      // Append to a non-empty buffer, sometimes one with spare capacity.
+      got.assign(1 + rng.Uniform(100), 0xab);
+      if (round % 2 == 0) got.reserve(got.size() + rng.Uniform(64));
+      want = got;
+    }
+    const int fields = static_cast<int>(rng.Uniform(24));
+    for (int f = 0; f < fields; ++f) PutRandomField(&rng, &got, &want);
+    ASSERT_EQ(got, want) << "round " << round;
+  }
+}
+
+TEST(CodingTest, VarintBoundariesMatchReference) {
+  for (uint64_t v : {0ULL, 0x7fULL, 0x80ULL, 0xffffffffULL, 0xffffffffffffffffULL}) {
+    Bytes got, want;
+    PutVarint64(&got, v);
+    ref::Varint(&want, v);
+    EXPECT_EQ(got, want) << v;
+    if (v <= 0xffffffffULL) {
+      Bytes got32;
+      PutVarint32(&got32, static_cast<uint32_t>(v));
+      EXPECT_EQ(got32, want) << v;
+    }
+  }
+  Bytes max;
+  PutVarint64(&max, 0xffffffffffffffffULL);
+  EXPECT_EQ(max.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

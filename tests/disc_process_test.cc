@@ -670,6 +670,72 @@ TEST_F(DiscProcessTest, CoalescedCheckpointsSurviveTakeover) {
                                              LockKey{"acct", ToBytes("held")}));
 }
 
+TEST_F(DiscProcessTest, ResyncedBackupEvictsRepliesOldestFirst) {
+  // A re-attached backup must rebuild the reply cache in the primary's
+  // insertion order. Replayed in (requester, request id) order instead, a
+  // full backup evicts the reply of the lowest pid first even when it is the
+  // newest, and after a takeover a retry of that request runs again.
+  sim::Simulation sim(7);
+  os::Cluster cluster(&sim);
+  os::Node* node = cluster.AddNode(1);
+  storage::Volume volume("$DATA9");
+  ASSERT_TRUE(
+      volume.CreateFile("acct", storage::FileOrganization::kKeySequenced).ok());
+  DiscProcessConfig dcfg;
+  dcfg.volume = &volume;
+  dcfg.reply_cache_capacity = 2;
+  auto disc = os::SpawnPair<DiscProcess>(node, "$DATA9", 0, 1, dcfg);
+  TestClient* low = node->Spawn<TestClient>(2);   // the lower pid
+  TestClient* high = node->Spawn<TestClient>(3);
+  ASSERT_LT(low->id().pid, high->id().pid);
+  sim.Run();
+  const net::Address dst(1, "$DATA9");
+  auto insert = [](const std::string& key) {
+    DiscRequest ins;
+    ins.file = "acct";
+    ins.key = ToBytes(key);
+    ins.record = ToBytes("v");
+    return ins.Encode();
+  };
+
+  // The older reply comes from the higher pid, the newer from the lower.
+  auto* a = high->CallRaw(dst, kDiscInsert, insert("a"), Transid{1, 0, 1}.Pack());
+  sim.Run();
+  auto* b = low->CallRaw(dst, kDiscInsert, insert("b"), Transid{1, 0, 2}.Pack());
+  sim.Run();
+  ASSERT_TRUE(a->done && a->status.ok() && b->done && b->status.ok());
+
+  // Replace the backup: the fresh one is resynchronized from the cache.
+  node->FailCpu(1);
+  sim.Run();
+  DiscProcess* backup = os::AttachBackup<DiscProcess>(node, disc.primary, 2, dcfg);
+  ASSERT_NE(backup, nullptr);
+  sim.Run();
+
+  // One more reply fills both caches past capacity: each evicts "a".
+  auto* c = high->CallRaw(dst, kDiscInsert, insert("c"), Transid{1, 0, 3}.Pack());
+  sim.Run();
+  ASSERT_TRUE(c->done && c->status.ok());
+
+  node->FailCpu(0);  // takeover by the resynced backup
+  sim.Run();
+  ASSERT_TRUE(backup->IsPrimary());
+
+  // A transparent retry of "b" (same requester, same request id) must be
+  // answered from the cache, not applied a second time.
+  const int64_t replays = sim.GetStats().Counter("disc.dedup_replays");
+  net::Message retry;
+  retry.src = low->id();
+  retry.dst = dst;
+  retry.tag = kDiscInsert;
+  retry.request_id = 1;  // low's first (and only) call
+  retry.transid = Transid{1, 0, 2}.Pack();
+  retry.payload = insert("b");
+  node->Route(std::move(retry));
+  sim.Run();
+  EXPECT_EQ(sim.GetStats().Counter("disc.dedup_replays"), replays + 1);
+}
+
 TEST_F(DiscProcessTest, DefaultKnobsSameSeedTracesAreIdentical) {
   // Two identical rigs, same seed, default knobs: the per-transaction trace
   // dumps must be byte-identical. Guards the lock-table and cache rewrites

@@ -23,25 +23,41 @@ Bytes FrameAuditBatch(const Slice& encoded_record) {
   return out;
 }
 
-Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
+namespace {
+
+/// Walks a batch in order, handing each record, decoded as a view of the
+/// payload, to fn. Stops at the first malformed part.
+template <typename Fn>
+Status ForEachBatchRecord(const Slice& payload, Fn&& fn) {
   Slice in = payload;
   uint32_t n;
   if (!GetVarint32(&in, &n)) return DecodeError("audit batch count");
   // Every record is length-prefixed (>= 1 byte each): a count exceeding the
-  // remaining payload is malformed, and reserving it would be an allocation
-  // bomb on a corrupt message.
+  // remaining payload is malformed (and would be an allocation bomb for a
+  // decoder that reserved it).
   if (static_cast<uint64_t>(n) > in.size()) {
     return DecodeError("audit batch count exceeds payload");
   }
-  std::vector<AuditRecord> records;
-  records.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Slice body;
     if (!GetLengthPrefixed(&in, &body)) return DecodeError("audit batch entry");
-    auto rec = AuditRecord::Decode(&body);
-    if (!rec.ok()) return rec.status();
-    records.push_back(std::move(*rec));
+    AuditRecordView rec;
+    if (!AuditRecordView::Decode(&body, &rec)) {
+      return DecodeError("audit record");
+    }
+    fn(rec);
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
+  std::vector<AuditRecord> records;
+  Status s = ForEachBatchRecord(payload, [&records](const AuditRecordView& rec) {
+    records.push_back(rec.ToRecord());
+  });
+  if (!s.ok()) return s;
   return records;
 }
 
@@ -88,16 +104,20 @@ void AuditProcess::OnRequest(const net::Message& msg) {
 }
 
 void AuditProcess::HandleAppend(const net::Message& msg) {
-  auto batch = DecodeAuditBatch(Slice(msg.payload));
-  if (!batch.ok()) {
-    LOG_WARN << DebugName() << ": bad append batch: " << batch.status().ToString();
-    Reply(msg, batch.status());
+  // A malformed batch is rejected whole: check every record before
+  // appending any, then append straight from the payload.
+  Status valid = ForEachBatchRecord(Slice(msg.payload), [](const AuditRecordView&) {});
+  if (!valid.ok()) {
+    LOG_WARN << DebugName() << ": bad append batch: " << valid.ToString();
+    Reply(msg, valid);
     return;
   }
-  for (auto& rec : *batch) {
-    config_.trail->Append(std::move(rec));
-  }
-  stats().Incr(m_.appended, static_cast<int64_t>(batch->size()));
+  int64_t appended = 0;
+  ForEachBatchRecord(Slice(msg.payload), [&](const AuditRecordView& rec) {
+    config_.trail->Append(rec.ToRecord());
+    ++appended;
+  });
+  stats().Incr(m_.appended, appended);
   if (msg.request_id != 0) Reply(msg, Status::Ok());
 }
 

@@ -30,6 +30,31 @@ struct AuditRecord {
   static Result<AuditRecord> Decode(Slice* in);
 };
 
+/// The fields of one audit record, viewing bytes owned elsewhere: an
+/// update's own key and images when a DISCPROCESS encodes its audit, an
+/// append batch's payload when the AUDITPROCESS walks one. Every audit
+/// record is encoded and decoded through this view.
+struct AuditRecordView {
+  Transid transid;
+  Slice volume;
+  Slice file;
+  storage::MutationOp op = storage::MutationOp::kInsert;
+  Slice key;
+  Slice before;
+  Slice after;
+  uint64_t lsn = 0;
+
+  size_t EncodedSize() const;
+  /// Appends the record, growing `out` at most once (to exactly fit it).
+  void EncodeTo(Bytes* out) const;
+  /// The record in one buffer of exactly its size.
+  Bytes Encode() const;
+  /// Parses one record from the front of *in; the fields alias *in's bytes.
+  static bool Decode(Slice* in, AuditRecordView* view);
+  /// An owning copy.
+  AuditRecord ToRecord() const;
+};
+
 /// Transaction completion status recorded in the Monitor Audit Trail.
 enum class Completion : uint8_t {
   kCommitted = 0,

@@ -61,6 +61,15 @@ void PutVarint64(Bytes* dst, uint64_t v) {
   Append(dst, buf, EncodeVarint64(buf, v));
 }
 
+size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 void PutLengthPrefixed(Bytes* dst, const Slice& value) {
   uint8_t buf[10];
   const size_t len = EncodeVarint64(buf, value.size());
@@ -131,17 +140,19 @@ bool GetLengthPrefixed(Slice* input, Slice* value) {
   return true;
 }
 
+// The copying forms assign in place, so a reused destination keeps its
+// buffer when the value fits.
 bool GetLengthPrefixedBytes(Slice* input, Bytes* value) {
   Slice s;
   if (!GetLengthPrefixed(input, &s)) return false;
-  *value = s.ToBytes();
+  value->assign(s.data(), s.data() + s.size());
   return true;
 }
 
 bool GetLengthPrefixedString(Slice* input, std::string* value) {
   Slice s;
   if (!GetLengthPrefixed(input, &s)) return false;
-  *value = s.ToString();
+  value->assign(reinterpret_cast<const char*>(s.data()), s.size());
   return true;
 }
 

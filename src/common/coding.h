@@ -26,6 +26,13 @@ void PutVarint64(Bytes* dst, uint64_t v);
 /// varint length followed by raw bytes.
 void PutLengthPrefixed(Bytes* dst, const Slice& value);
 
+/// Encoded size of a varint, and of a length-prefixed value — for encoders
+/// that size their buffer exactly before writing.
+size_t VarintLength(uint64_t v);
+inline size_t LengthPrefixedSize(const Slice& value) {
+  return VarintLength(value.size()) + value.size();
+}
+
 // ---------------------------------------------------------------------------
 // Decoders: consume from the front of a Slice; return false on underflow or
 // malformed input (the Slice is left in an unspecified position on failure).

@@ -25,6 +25,7 @@ void PutLockKey(Bytes* out, const LockKey& key) {
   PutLengthPrefixed(out, Slice(key.record));
 }
 
+// Decodes in place: a reused key keeps its buffers.
 bool GetLockKey(Slice* in, LockKey* key) {
   return GetLengthPrefixedString(in, &key->file) &&
          GetLengthPrefixedBytes(in, &key->record);
@@ -96,7 +97,7 @@ void DiscProcess::OnRequest(const net::Message& msg) {
     return;
   }
 
-  auto req = DiscRequest::Decode(Slice(msg.payload));
+  auto req = DiscRequestView::Decode(Slice(msg.payload));
   if (!req.ok()) {
     Reply(msg, req.status());
     return;
@@ -109,22 +110,22 @@ void DiscProcess::OnRequest(const net::Message& msg) {
 bool DiscProcess::SuppressDuplicate(const net::Message& msg) {
   if (msg.request_id == 0) return false;
   const RequestKey rk{msg.src, msg.request_id};
-  auto cached = reply_cache_.find(rk);
-  if (cached != reply_cache_.end()) {
+  if (const uint32_t* slot = reply_index_.Find(rk)) {
+    const CachedReply& cached = reply_ring_[*slot];
     stats().Incr(m_.dedup_replays);
-    SendReply(msg.src, cached->second.tag, msg.request_id,
-              Status(cached->second.status, cached->second.message),
-              *cached->second.payload);
+    SendReply(msg.src, cached.tag, msg.request_id,
+              Status(cached.status, cached.message), cached.payload);
     return true;
   }
-  if (!in_flight_.insert(rk).second) {  // e.g. still parked on a lock
+  if (!in_flight_.Insert(rk)) {  // e.g. still parked on a lock
     stats().Incr(m_.dedup_inflight_drops);
     return true;
   }
   return false;
 }
 
-void DiscProcess::HandleOperation(const net::Message& msg, const DiscRequest& req) {
+void DiscProcess::HandleOperation(const net::Message& msg,
+                                  const DiscRequestView& req) {
   stats().Incr(m_.ops);
   const Transid transid = Transid::Unpack(msg.transid);
 
@@ -164,22 +165,22 @@ void DiscProcess::HandleOperation(const net::Message& msg, const DiscRequest& re
     switch (msg.tag) {
       case kDiscRead:
         if (req.lock &&
-            !EnsureLock(msg, req, transid, LockKey{req.file, req.key})) {
+            !EnsureLock(msg, req, transid, KeyFor(req.file, req.key))) {
           return;
         }
         break;
       case kDiscUpdate:
       case kDiscDelete:
-        if (!EnsureLock(msg, req, transid, LockKey{req.file, req.key})) return;
+        if (!EnsureLock(msg, req, transid, KeyFor(req.file, req.key))) return;
         break;
       case kDiscInsert:
         if (!req.key.empty() &&
-            !EnsureLock(msg, req, transid, LockKey{req.file, req.key})) {
+            !EnsureLock(msg, req, transid, KeyFor(req.file, req.key))) {
           return;
         }
         break;
       case kDiscLockFile:
-        if (!EnsureLock(msg, req, transid, LockKey{req.file, {}})) return;
+        if (!EnsureLock(msg, req, transid, KeyFor(req.file, Slice()))) return;
         break;
       default:
         break;
@@ -193,8 +194,16 @@ void DiscProcess::HandleOperation(const net::Message& msg, const DiscRequest& re
   Execute(msg, req);
 }
 
-bool DiscProcess::EnsureLock(const net::Message& msg, const DiscRequest& req,
-                             const Transid& owner, LockKey key) {
+const LockKey& DiscProcess::KeyFor(const std::string& file,
+                                   const Slice& record) {
+  lock_key_.file.assign(file);
+  lock_key_.record.assign(record.data(), record.data() + record.size());
+  return lock_key_;
+}
+
+bool DiscProcess::EnsureLock(const net::Message& msg,
+                             const DiscRequestView& req, const Transid& owner,
+                             const LockKey& key) {
   if (locks_.Holds(owner, key)) return true;
   auto result = locks_.Acquire(owner, key);
   if (result == LockManager::AcquireResult::kGranted) {
@@ -208,13 +217,13 @@ bool DiscProcess::EnsureLock(const net::Message& msg, const DiscRequest& req,
   stats().Incr(m_.lock_waits);
   SimDuration timeout =
       req.lock_timeout > 0 ? req.lock_timeout : config_.default_lock_timeout;
-  ParkRequest(msg, owner, std::move(key), timeout);
+  ParkRequest(msg, owner, key, timeout);
   return false;
 }
 
 void DiscProcess::ParkRequest(const net::Message& msg, const Transid& owner,
-                              LockKey key, SimDuration timeout) {
-  parked_.push_back(ParkedOp{msg, owner, std::move(key), 0, sim()->Now()});
+                              const LockKey& key, SimDuration timeout) {
+  parked_.push_back(ParkedOp{msg, owner, key, 0, sim()->Now()});
   auto it = std::prev(parked_.end());
   it->timer = SetTimer(timeout, [this, it]() {
     // Deadlock detection is by timeout: abandon the wait and tell the
@@ -257,7 +266,7 @@ void DiscProcess::ResumeGranted(const std::vector<LockGrant>& grants) {
                           {}, 0, nullptr);
           break;
         }
-        auto req = DiscRequest::Decode(Slice(msg.payload));
+        auto req = DiscRequestView::Decode(Slice(msg.payload));
         if (req.ok()) Execute(msg, *req);
         break;
       }
@@ -265,21 +274,21 @@ void DiscProcess::ResumeGranted(const std::vector<LockGrant>& grants) {
   }
 }
 
-void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
+void DiscProcess::Execute(const net::Message& msg, const DiscRequestView& req) {
   const Transid transid = Transid::Unpack(msg.transid);
   storage::Volume* vol = config_.volume;
   CheckpointBatch batch;
 
   switch (msg.tag) {
     case kDiscRead: {
-      auto r = vol->ReadRecord(req.file, Slice(req.key));
+      auto r = vol->ReadRecord(req.file, req.key);
       // A locked read of a missing record keeps the key lock (protects the
       // key for a subsequent insert) and reports NotFound.
       FinishWithReply(msg, r.status, std::move(r.value), r.disc_ios, &batch);
       return;
     }
     case kDiscSeek: {
-      auto r = vol->SeekRecord(req.file, Slice(req.key), req.inclusive);
+      auto r = vol->SeekRecord(req.file, req.key, req.inclusive);
       SeekReply rep;
       rep.key = std::move(r.key);
       rep.value = std::move(r.value);
@@ -293,7 +302,7 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
       if (limit > 1024) limit = 1024;
       ScanReply rep;
       int total_ios = 0;
-      Bytes pos = req.key;
+      Bytes pos = req.key.ToBytes();
       bool inclusive = req.inclusive;
       while (rep.entries.size() < limit) {
         auto r = vol->SeekRecord(req.file, Slice(pos), inclusive);
@@ -333,45 +342,44 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
       return;
     }
     case kDiscInsert: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kInsert, Slice(req.key),
-                           Slice(req.record));
+      auto r = vol->Mutate(req.file, storage::MutationOp::kInsert, req.key,
+                           req.record);
       if (r.status.ok()) {
         if (transid.valid() && req.key.empty()) {
           // Entry-sequenced append: lock the assigned key now. The key is
           // fresh, so the grant cannot conflict.
-          locks_.ForceGrant(transid, LockKey{req.file, r.key});
-          CkptGrant(&batch, transid, LockKey{req.file, r.key});
+          const LockKey& key = KeyFor(req.file, Slice(r.key));
+          locks_.ForceGrant(transid, key);
+          CkptGrant(&batch, transid, key);
         }
         EmitAudit(transid, storage::MutationOp::kInsert, Slice(r.key), r,
-                  Slice(req.record), req.file);
+                  req.record, req.file);
       }
-      Bytes assigned = r.key;
-      FinishWithReply(msg, r.status, std::move(assigned), r.disc_ios, &batch);
+      FinishWithReply(msg, r.status, std::move(r.key), r.disc_ios, &batch);
       return;
     }
     case kDiscUpdate: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kUpdate, Slice(req.key),
-                           Slice(req.record));
+      auto r = vol->Mutate(req.file, storage::MutationOp::kUpdate, req.key,
+                           req.record);
       if (r.status.ok()) {
-        EmitAudit(transid, storage::MutationOp::kUpdate, Slice(req.key), r,
-                  Slice(req.record), req.file);
+        EmitAudit(transid, storage::MutationOp::kUpdate, req.key, r,
+                  req.record, req.file);
       }
       FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
       return;
     }
     case kDiscDelete: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kDelete, Slice(req.key),
+      auto r = vol->Mutate(req.file, storage::MutationOp::kDelete, req.key,
                            Slice());
       if (r.status.ok()) {
-        EmitAudit(transid, storage::MutationOp::kDelete, Slice(req.key), r,
-                  Slice(), req.file);
+        EmitAudit(transid, storage::MutationOp::kDelete, req.key, r, Slice(),
+                  req.file);
       }
       FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
       return;
     }
     case kDiscUndo: {
-      auto r = vol->ApplyUndo(req.file, req.undo_op, Slice(req.key),
-                              Slice(req.record));
+      auto r = vol->ApplyUndo(req.file, req.undo_op, req.key, req.record);
       stats().Incr(m_.undo_ops);
       FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
       return;
@@ -391,7 +399,7 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
 void DiscProcess::HandlePlannedBatch(const net::Message& msg) {
   auto batch = PlannedBatch::Decode(Slice(msg.payload));
   if (!batch.ok()) {
-    if (msg.request_id != 0) in_flight_.erase(RequestKey{msg.src, msg.request_id});
+    if (msg.request_id != 0) in_flight_.Erase(RequestKey{msg.src, msg.request_id});
     Reply(msg, batch.status());
     return;
   }
@@ -507,26 +515,23 @@ void DiscProcess::EmitAudit(const Transid& transid, storage::MutationOp op,
   if (!transid.valid() || config_.audit_process.empty()) return;
   storage::StructuredFile* f = config_.volume->Find(file);
   if (f == nullptr || !f->audited()) return;
-  audit::AuditRecord rec;
-  rec.transid = transid;
-  rec.volume = config_.volume->name();
-  rec.file = file;
-  rec.op = op;
-  rec.key = key.ToBytes();
-  rec.before = result.before;
-  rec.after = after.ToBytes();
   stats().Incr(m_.audit_records);
   // Unforced (the trail is forced by TMF at phase one of commit) but
   // *reliable and ordered*: the record joins a checkpointed FIFO that is
   // delivered to the AUDITPROCESS with acknowledgement and retry — a lost
-  // before-image would make a later backout silently incomplete.
-  Bytes encoded = rec.Encode();
+  // before-image would make a later backout silently incomplete. It is
+  // encoded straight from the operation's key and images into the queue's
+  // next buffer.
+  Bytes& encoded = audit_queue_.PushBack();
+  encoded.clear();
+  audit::AuditRecordView{transid, Slice(config_.volume->name()), Slice(file),
+                         op, key, Slice(result.before), after, 0}
+      .EncodeTo(&encoded);
   if (HasBackup()) {
     CheckpointBatch batch;
-    CkptAuditPushEntry(&batch, encoded);
+    CkptAuditPushEntry(&batch, Slice(encoded));
     FlushCheckpoint(&batch);
   }
-  audit_queue_.push_back(std::move(encoded));
   PumpAuditQueue();
 }
 
@@ -541,7 +546,7 @@ void DiscProcess::PumpAuditQueue() {
        [this](const Status& s, const net::Message&) {
          audit_in_flight_ = false;
          if (s.ok()) {
-           audit_queue_.pop_front();
+           audit_queue_.PopFront();
            if (HasBackup()) {
              CheckpointBatch batch;
              CkptAuditPopEntry(&batch);
@@ -593,17 +598,16 @@ void DiscProcess::HandleStateChange(const net::Message& msg) {
 void DiscProcess::FinishWithReply(const net::Message& msg, const Status& status,
                                   Bytes payload, int disc_ios,
                                   CheckpointBatch* batch) {
-  RequestKey rk{msg.src, msg.request_id};
   CheckpointBatch local;
   if (batch == nullptr) batch = &local;
 
-  // One shared copy of the payload serves the reply cache, the checkpoint
-  // encoding, and the delayed reply.
-  auto shared = std::make_shared<const Bytes>(std::move(payload));
   if (msg.request_id != 0) {
-    CacheReply(rk, msg.tag, status, shared);
-    CkptReply(batch, rk, msg.tag, status.code(), status.message(), *shared);
-    in_flight_.erase(rk);
+    const RequestKey rk{msg.src, msg.request_id};
+    CacheReply(rk, msg.tag, status.code(), Slice(status.message()),
+               Slice(payload));
+    CkptReply(batch, rk, msg.tag, status.code(), Slice(status.message()),
+              Slice(payload));
+    in_flight_.Erase(rk);
   }
   FlushCheckpoint(batch);
 
@@ -623,40 +627,59 @@ void DiscProcess::FinishWithReply(const net::Message& msg, const Status& status,
     latency = config_.base_latency + disc_ios * config_.io_latency;
   }
   stats().Record(m_.op_latency, latency);
-  net::ProcessId requester = msg.src;
-  uint64_t reply_to = msg.request_id;
-  uint32_t tag = msg.tag;
-  if (reply_to == 0) return;
-  SetTimer(latency, [this, requester, tag, reply_to, status,
-                     shared = std::move(shared)]() {
-    SendReply(requester, tag, reply_to, status, *shared);
-  });
+  if (msg.request_id == 0) return;
+  // The reply waits out the service time in a slab slot: the timer carries
+  // only {this, slot}, and the payload moves into the reply message.
+  uint32_t slot;
+  if (free_delayed_.empty()) {
+    slot = static_cast<uint32_t>(delayed_.size());
+    delayed_.emplace_back();
+  } else {
+    slot = free_delayed_.back();
+    free_delayed_.pop_back();
+  }
+  DelayedReply& reply = delayed_[slot];
+  reply.requester = msg.src;
+  reply.tag = msg.tag;
+  reply.reply_to = msg.request_id;
+  reply.status = status;
+  reply.payload = std::move(payload);
+  SetTimer(latency, [this, slot]() { SendDelayedReply(slot); });
+}
+
+void DiscProcess::SendDelayedReply(uint32_t slot) {
+  DelayedReply& reply = delayed_[slot];
+  SendReply(reply.requester, reply.tag, reply.reply_to, reply.status,
+            std::move(reply.payload));
+  free_delayed_.push_back(slot);
 }
 
 void DiscProcess::MarkResolved(const Transid& transid) {
-  if (resolved_.insert(transid.Pack()).second) {
-    resolved_order_.push_back(transid.Pack());
-    while (resolved_order_.size() > 8192) {
-      resolved_.erase(resolved_order_.front());
-      resolved_order_.pop_front();
-    }
-  }
+  resolved_.Insert(transid.Pack());
 }
 
 void DiscProcess::CacheReply(const RequestKey& rk, uint32_t tag,
-                             const Status& status,
-                             std::shared_ptr<const Bytes> payload) {
-  if (!reply_cache_
-           .try_emplace(rk, CachedReply{tag, status.code(), status.message(),
-                                        std::move(payload)})
-           .second) {
-    return;
+                             Status::Code status, const Slice& message,
+                             const Slice& payload) {
+  const size_t capacity = config_.reply_cache_capacity;
+  if (capacity == 0 || reply_index_.Contains(rk)) return;
+  uint32_t slot;
+  if (reply_ring_.size() < capacity) {
+    slot = static_cast<uint32_t>(reply_ring_.size());
+    reply_ring_.emplace_back();
+  } else {
+    slot = static_cast<uint32_t>(reply_oldest_);
+    reply_index_.Erase(reply_ring_[slot].rk);
+    reply_oldest_ = (reply_oldest_ + 1) % capacity;
   }
-  reply_cache_order_.push_back(rk);
-  while (reply_cache_order_.size() > config_.reply_cache_capacity) {
-    reply_cache_.erase(reply_cache_order_.front());
-    reply_cache_order_.pop_front();
-  }
+  CachedReply& cached = reply_ring_[slot];
+  cached.rk = rk;
+  cached.tag = tag;
+  cached.status = status;
+  cached.message.assign(reinterpret_cast<const char*>(message.data()),
+                        message.size());
+  cached.payload.assign(payload.data(), payload.data() + payload.size());
+  reply_index_.Insert(rk, slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -685,22 +708,22 @@ void DiscProcess::CkptAborting(CheckpointBatch* batch, const Transid& owner) {
 
 void DiscProcess::CkptReply(CheckpointBatch* batch, const RequestKey& rk,
                             uint32_t tag, Status::Code status,
-                            const std::string& message, const Bytes& payload) {
+                            const Slice& message, const Slice& payload) {
   PutFixed8(&batch->delta, kCkptReplyEntry);
-  PutFixed16(&batch->delta, rk.first.node);
-  PutFixed32(&batch->delta, rk.first.pid);
-  PutFixed64(&batch->delta, rk.second);
+  PutFixed16(&batch->delta, rk.requester.node);
+  PutFixed32(&batch->delta, rk.requester.pid);
+  PutFixed64(&batch->delta, rk.request_id);
   PutFixed32(&batch->delta, tag);
   PutFixed8(&batch->delta, static_cast<uint8_t>(status));
-  PutLengthPrefixed(&batch->delta, Slice(message));
-  PutLengthPrefixed(&batch->delta, Slice(payload));
+  PutLengthPrefixed(&batch->delta, message);
+  PutLengthPrefixed(&batch->delta, payload);
   ++batch->entries;
 }
 
 void DiscProcess::CkptAuditPushEntry(CheckpointBatch* batch,
-                                     const Bytes& encoded) {
+                                     const Slice& encoded) {
   PutFixed8(&batch->delta, kCkptAuditPush);
-  PutLengthPrefixed(&batch->delta, Slice(encoded));
+  PutLengthPrefixed(&batch->delta, encoded);
   ++batch->entries;
 }
 
@@ -762,9 +785,8 @@ void DiscProcess::OnCheckpoint(const Slice& delta) {
     switch (type) {
       case kCkptGrantEntry: {
         uint64_t packed;
-        LockKey key;
-        if (!GetFixed64(&in, &packed) || !GetLockKey(&in, &key)) return;
-        locks_.ForceGrant(Transid::Unpack(packed), key);
+        if (!GetFixed64(&in, &packed) || !GetLockKey(&in, &lock_key_)) return;
+        locks_.ForceGrant(Transid::Unpack(packed), lock_key_);
         break;
       }
       case kCkptReleaseEntry: {
@@ -793,28 +815,26 @@ void DiscProcess::OnCheckpoint(const Slice& delta) {
         uint32_t pid, tag;
         uint64_t rid;
         uint8_t status;
-        std::string message;
-        Bytes payload;
+        Slice message, payload;
         if (!GetFixed16(&in, &node) || !GetFixed32(&in, &pid) ||
             !GetFixed64(&in, &rid) || !GetFixed32(&in, &tag) ||
-            !GetFixed8(&in, &status) ||
-            !GetLengthPrefixedString(&in, &message) ||
-            !GetLengthPrefixedBytes(&in, &payload)) {
+            !GetFixed8(&in, &status) || !GetLengthPrefixed(&in, &message) ||
+            !GetLengthPrefixed(&in, &payload)) {
           return;
         }
         CacheReply(RequestKey{net::ProcessId{node, pid}, rid}, tag,
-                   Status(static_cast<Status::Code>(status), std::move(message)),
-                   std::make_shared<const Bytes>(std::move(payload)));
+                   static_cast<Status::Code>(status), message, payload);
         break;
       }
       case kCkptAuditPush: {
-        Bytes encoded;
-        if (!GetLengthPrefixedBytes(&in, &encoded)) return;
-        audit_queue_.push_back(std::move(encoded));
+        Slice encoded;
+        if (!GetLengthPrefixed(&in, &encoded)) return;
+        audit_queue_.PushBack().assign(encoded.data(),
+                                       encoded.data() + encoded.size());
         break;
       }
       case kCkptAuditPop: {
-        if (!audit_queue_.empty()) audit_queue_.pop_front();
+        if (!audit_queue_.empty()) audit_queue_.PopFront();
         break;
       }
       default:
@@ -847,10 +867,11 @@ void DiscProcess::OnBackupAttached() {
   // insertion order, so the backup rebuilds the same eviction order and
   // evicts the same (oldest) replies as the primary.
   CheckpointBatch batch;
-  for (const RequestKey& rk : reply_cache_order_) {
-    const CachedReply& cached = reply_cache_.at(rk);
-    CkptReply(&batch, rk, cached.tag, cached.status, cached.message,
-              *cached.payload);
+  for (size_t i = 0; i < reply_ring_.size(); ++i) {
+    const CachedReply& cached =
+        reply_ring_[(reply_oldest_ + i) % reply_ring_.size()];
+    CkptReply(&batch, cached.rk, cached.tag, cached.status,
+              Slice(cached.message), Slice(cached.payload));
   }
   for (const auto& t : aborting_) {
     CkptAborting(&batch, t);
@@ -863,9 +884,9 @@ void DiscProcess::OnBackupAttached() {
     stats().Incr(m_.ckpt_messages);
     SendCheckpoint(std::move(batch.delta));
   }
-  for (const auto& encoded : audit_queue_) {
+  for (size_t i = 0; i < audit_queue_.size(); ++i) {
     CheckpointBatch push;
-    CkptAuditPushEntry(&push, encoded);
+    CkptAuditPushEntry(&push, Slice(audit_queue_[i]));
     if (HasBackup()) {
       stats().Incr(m_.ckpt_entries, push.entries);
       stats().Incr(m_.ckpt_messages);

@@ -16,14 +16,13 @@
 #ifndef ENCOMPASS_DISCPROCESS_DISC_PROCESS_H_
 #define ENCOMPASS_DISCPROCESS_DISC_PROCESS_H_
 
-#include <deque>
 #include <list>
-#include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "common/flat_map.h"
+#include "common/ring_queue.h"
 #include "discprocess/disc_protocol.h"
 #include "discprocess/lock_manager.h"
 #include "os/process_pair.h"
@@ -70,20 +69,38 @@ class DiscProcess : public os::PairedProcess {
   void OnTakeover() override;
 
  private:
-  struct CachedReply {
-    uint32_t tag;
-    Status::Code status;
-    std::string message;  ///< full Status text, replayed verbatim on retries
-    /// Shared with the in-flight delayed reply — caching never copies the
-    /// payload bytes.
-    std::shared_ptr<const Bytes> payload;
+  /// A request's identity for duplicate suppression.
+  struct RequestKey {
+    net::ProcessId requester;
+    uint64_t request_id = 0;
+    friend bool operator==(const RequestKey& a, const RequestKey& b) {
+      return a.requester == b.requester && a.request_id == b.request_id;
+    }
   };
-  using RequestKey = std::pair<net::ProcessId, uint64_t>;
   struct RequestKeyHash {
     size_t operator()(const RequestKey& rk) const noexcept {
-      return std::hash<net::ProcessId>()(rk.first) * 31 +
-             std::hash<uint64_t>()(rk.second);
+      return std::hash<net::ProcessId>()(rk.requester) * 31 +
+             std::hash<uint64_t>()(rk.request_id);
     }
+  };
+
+  /// One reply-cache slot. Slots are reused once the ring is full, so the
+  /// text and payload buffers keep their capacity from reply to reply.
+  struct CachedReply {
+    RequestKey rk;
+    uint32_t tag = 0;
+    Status::Code status = Status::Code::kOk;
+    std::string message;  ///< full Status text, replayed verbatim on retries
+    Bytes payload;
+  };
+
+  /// A reply waiting out the operation's service time before it is sent.
+  struct DelayedReply {
+    net::ProcessId requester;
+    uint32_t tag = 0;
+    uint64_t reply_to = 0;
+    Status status;
+    Bytes payload;
   };
 
   /// Accumulates one operation's checkpoint entries, flushed as one message
@@ -93,7 +110,7 @@ class DiscProcess : public os::PairedProcess {
     int entries = 0;
   };
 
-  void HandleOperation(const net::Message& msg, const DiscRequest& req);
+  void HandleOperation(const net::Message& msg, const DiscRequestView& req);
   /// Queue-lane path: executes one lane batch in plan order, without lock
   /// acquisition. Mutations are audited per-op under the op's own transid,
   /// so abort backout and ROLLFORWARD see queue-lane work exactly like
@@ -102,13 +119,16 @@ class DiscProcess : public os::PairedProcess {
   PlannedBatchReply::OpResult ExecutePlannedOp(const PlannedOp& op,
                                                int* disc_ios);
   /// Runs the operation body once required locks are held.
-  void Execute(const net::Message& msg, const DiscRequest& req);
+  void Execute(const net::Message& msg, const DiscRequestView& req);
   /// Lock step: returns true when held/granted; false when parked or failed
   /// (failure already replied).
-  bool EnsureLock(const net::Message& msg, const DiscRequest& req,
-                  const Transid& owner, LockKey key);
-  void ParkRequest(const net::Message& msg, const Transid& owner, LockKey key,
-                   SimDuration timeout);
+  bool EnsureLock(const net::Message& msg, const DiscRequestView& req,
+                  const Transid& owner, const LockKey& key);
+  /// lock_key_ naming (file, record): the request path reuses one LockKey,
+  /// so naming a lock copies no bytes onto the heap once it is warm.
+  const LockKey& KeyFor(const std::string& file, const Slice& record);
+  void ParkRequest(const net::Message& msg, const Transid& owner,
+                   const LockKey& key, SimDuration timeout);
   void ResumeGranted(const std::vector<LockGrant>& grants);
   void HandleStateChange(const net::Message& msg);
   void FinishWithReply(const net::Message& msg, const Status& status,
@@ -119,8 +139,12 @@ class DiscProcess : public os::PairedProcess {
   /// Drives the reliable, ordered delivery of queued audit records to the
   /// AUDITPROCESS (one in-flight batch; retried until acknowledged).
   void PumpAuditQueue();
-  void CacheReply(const RequestKey& rk, uint32_t tag, const Status& status,
-                  std::shared_ptr<const Bytes> payload);
+  /// Sends a parked delayed reply, moving its payload into the message.
+  void SendDelayedReply(uint32_t slot);
+  /// Copies a reply into the cache ring (no-op if rk is cached already).
+  /// Past reply_cache_capacity the oldest reply is overwritten.
+  void CacheReply(const RequestKey& rk, uint32_t tag, Status::Code status,
+                  const Slice& message, const Slice& payload);
   /// Duplicate suppression for a request about to execute: replays a cached
   /// reply, or drops a retry of a request still in progress (its eventual
   /// reply answers the retry too — same request id). Returns true when the
@@ -132,9 +156,9 @@ class DiscProcess : public os::PairedProcess {
   void CkptRelease(CheckpointBatch* batch, const Transid& owner);
   void CkptAborting(CheckpointBatch* batch, const Transid& owner);
   void CkptReply(CheckpointBatch* batch, const RequestKey& rk, uint32_t tag,
-                 Status::Code status, const std::string& message,
-                 const Bytes& payload);
-  void CkptAuditPushEntry(CheckpointBatch* batch, const Bytes& encoded);
+                 Status::Code status, const Slice& message,
+                 const Slice& payload);
+  void CkptAuditPushEntry(CheckpointBatch* batch, const Slice& encoded);
   void CkptAuditPopEntry(CheckpointBatch* batch);
   /// Sends the batch now (window 0) or folds it into the coalescing buffer
   /// and arms the flush timer.
@@ -148,7 +172,7 @@ class DiscProcess : public os::PairedProcess {
   /// the dead transaction; it is rejected with Aborted.
   void MarkResolved(const Transid& transid);
   bool IsResolved(const Transid& transid) const {
-    return resolved_.count(transid.Pack()) != 0;
+    return resolved_.Contains(transid.Pack());
   }
 
   struct Metrics {
@@ -165,13 +189,21 @@ class DiscProcess : public os::PairedProcess {
   DiscProcessConfig config_;
   Metrics m_;
   LockManager locks_;
+  LockKey lock_key_;  ///< see KeyFor
   std::set<Transid> aborting_;
-  std::set<uint64_t> resolved_;
-  std::deque<uint64_t> resolved_order_;
+  /// The newest resolved transids (packed); older ones are forgotten.
+  RecentSet<uint64_t> resolved_{8192};
 
-  std::unordered_map<RequestKey, CachedReply, RequestKeyHash> reply_cache_;
-  std::deque<RequestKey> reply_cache_order_;  ///< insertion (= eviction) order
-  std::unordered_set<RequestKey, RequestKeyHash> in_flight_;
+  /// Reply cache: a ring in insertion (= eviction) order that grows lazily
+  /// up to reply_cache_capacity, then overwrites its oldest slot.
+  std::vector<CachedReply> reply_ring_;
+  size_t reply_oldest_ = 0;  ///< ring index of the oldest reply once full
+  FlatMap<RequestKey, uint32_t, RequestKeyHash> reply_index_;  ///< -> ring
+  FlatSet<RequestKey, RequestKeyHash> in_flight_;
+
+  /// Delayed replies in flight; a timer carries only the slot number.
+  std::vector<DelayedReply> delayed_;
+  std::vector<uint32_t> free_delayed_;
 
   struct ParkedOp {
     net::Message msg;
@@ -185,7 +217,7 @@ class DiscProcess : public os::PairedProcess {
   // Audit records awaiting acknowledged delivery. Mirrored to the backup so
   // a takeover never loses a before-image (the checkpoint IS the paper's
   // WAL-equivalent). FIFO with one batch in flight preserves LSN order.
-  std::deque<Bytes> audit_queue_;  // encoded AuditRecords
+  RingQueue<Bytes> audit_queue_;  // encoded AuditRecords; buffers reused
   bool audit_in_flight_ = false;
 
   // Coalescing buffer (ckpt_coalesce_window > 0): deltas accumulated since

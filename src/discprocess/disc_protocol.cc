@@ -4,29 +4,34 @@
 
 namespace encompass::discprocess {
 
-Bytes DiscRequest::Encode() const {
+Bytes DiscRequestView::Encode() const {
+  const uint64_t timeout = static_cast<uint64_t>(lock_timeout);
   Bytes out;
+  out.reserve(LengthPrefixedSize(Slice(file)) + LengthPrefixedSize(key) +
+              LengthPrefixedSize(record) + LengthPrefixedSize(Slice(field)) +
+              LengthPrefixedSize(Slice(value)) + 2 + VarintLength(timeout) +
+              VarintLength(max_records));
   PutLengthPrefixed(&out, Slice(file));
-  PutLengthPrefixed(&out, Slice(key));
-  PutLengthPrefixed(&out, Slice(record));
+  PutLengthPrefixed(&out, key);
+  PutLengthPrefixed(&out, record);
   PutLengthPrefixed(&out, Slice(field));
   PutLengthPrefixed(&out, Slice(value));
   uint8_t flags = (lock ? 1 : 0) | (inclusive ? 2 : 0);
   PutFixed8(&out, flags);
   PutFixed8(&out, static_cast<uint8_t>(undo_op));
-  PutVarint64(&out, static_cast<uint64_t>(lock_timeout));
+  PutVarint64(&out, timeout);
   PutVarint32(&out, max_records);
   return out;
 }
 
-Result<DiscRequest> DiscRequest::Decode(const Slice& payload) {
+Result<DiscRequestView> DiscRequestView::Decode(const Slice& payload) {
   Slice in = payload;
-  DiscRequest req;
+  DiscRequestView req;
   uint8_t flags, op;
   uint64_t timeout;
   if (!GetLengthPrefixedString(&in, &req.file) ||
-      !GetLengthPrefixedBytes(&in, &req.key) ||
-      !GetLengthPrefixedBytes(&in, &req.record) ||
+      !GetLengthPrefixed(&in, &req.key) ||
+      !GetLengthPrefixed(&in, &req.record) ||
       !GetLengthPrefixedString(&in, &req.field) ||
       !GetLengthPrefixedString(&in, &req.value) || !GetFixed8(&in, &flags) ||
       !GetFixed8(&in, &op) || !GetVarint64(&in, &timeout)) {

@@ -49,12 +49,15 @@ enum class DiscTxnState : uint8_t {
   kAborted = 2,   ///< backout complete: release the transaction's locks
 };
 
-/// One DISCPROCESS request. Field use depends on the tag; unused fields stay
-/// empty and cost one varint each on the wire.
-struct DiscRequest {
+/// One DISCPROCESS request as it travels. Field use depends on the tag;
+/// unused fields stay empty and cost one varint each on the wire. `key` and
+/// `record` view bytes owned elsewhere: the caller's buffers when a request
+/// is encoded, the request message's payload when one is decoded — so
+/// decoding copies neither, and re-decoding parked work costs nothing.
+struct DiscRequestView {
   std::string file;
-  Bytes key;
-  Bytes record;           ///< insert/update image; kDiscUndo: before-image
+  Slice key;
+  Slice record;           ///< insert/update image; kDiscUndo: before-image
   std::string field;      ///< kDiscReadAlt
   std::string value;      ///< kDiscReadAlt
   bool lock = false;      ///< kDiscRead: acquire the record lock first
@@ -63,8 +66,32 @@ struct DiscRequest {
   SimDuration lock_timeout = 0;  ///< 0 = DISCPROCESS default
   uint32_t max_records = 0;      ///< kDiscScan batch size (0 = server default)
 
+  /// The wire bytes, in one buffer of exactly their size.
   Bytes Encode() const;
-  static Result<DiscRequest> Decode(const Slice& payload);
+  /// key and record alias `payload`, which must outlive the view.
+  static Result<DiscRequestView> Decode(const Slice& payload);
+};
+
+/// A request that owns its key and record, for callers that build one
+/// field by field; it encodes through its view.
+struct DiscRequest {
+  std::string file;
+  Bytes key;
+  Bytes record;
+  std::string field;
+  std::string value;
+  bool lock = false;
+  bool inclusive = true;
+  storage::MutationOp undo_op = storage::MutationOp::kInsert;
+  SimDuration lock_timeout = 0;
+  uint32_t max_records = 0;
+
+  DiscRequestView View() const {
+    return DiscRequestView{file,      Slice(key), Slice(record), field,
+                           value,     lock,       inclusive,     undo_op,
+                           lock_timeout, max_records};
+  }
+  Bytes Encode() const { return View().Encode(); }
 };
 
 /// Reply payload of kDiscSeek.

@@ -10,14 +10,14 @@ std::string LockKey::ToString() const {
   return file + "/" + encompass::ToString(record);
 }
 
-LockManager::FileTable& LockManager::InternFile(const std::string& file) {
+uint32_t LockManager::InternFile(const std::string& file) {
   auto it = file_ids_.find(file);
-  if (it != file_ids_.end()) return files_[it->second];
+  if (it != file_ids_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(files_.size());
   file_ids_.emplace(file, id);
   files_.emplace_back();
   files_.back().name = file;
-  return files_.back();
+  return id;
 }
 
 LockManager::FileTable* LockManager::FindFile(const std::string& file) {
@@ -31,50 +31,123 @@ const LockManager::FileTable* LockManager::FindFile(
   return it == file_ids_.end() ? nullptr : &files_[it->second];
 }
 
-size_t LockManager::RecordsHeldByOther(const FileTable& ft,
-                                       const Transid& owner) const {
-  auto it = ft.held_by.find(owner.Pack());
-  size_t own = it == ft.held_by.end() ? 0 : it->second;
-  assert(own <= ft.held_records);
-  return ft.held_records - own;
+LockManager::RecordEntry* LockManager::RecordUnit(FileTable& ft,
+                                                  const Bytes& record) {
+  auto it = ft.records.find(record);
+  if (it != ft.records.end()) return &*it;
+  if (free_records_.empty()) return &*ft.records.emplace(record, Unit{}).first;
+  RecordTable::node_type node = std::move(free_records_.back());
+  free_records_.pop_back();
+  node.key().assign(record.begin(), record.end());
+  return &*ft.records.insert(std::move(node)).position;
 }
 
-void LockManager::AddWait(const Transid& owner, const LockKey& key) {
-  waits_[owner.Pack()].push_back(key);
+void LockManager::RecycleRecord(FileTable& ft, RecordEntry* entry) {
+  assert(!entry->second.holder.valid() && entry->second.waiters.empty());
+  free_records_.push_back(ft.records.extract(entry->first));
+}
+
+void LockManager::AddWaiting(FileTable& ft, RecordEntry* entry) {
+  auto pos = std::lower_bound(
+      ft.waiting_records.begin(), ft.waiting_records.end(), entry,
+      [](const RecordEntry* a, const RecordEntry* b) {
+        return Slice(a->first) < Slice(b->first);
+      });
+  if (pos == ft.waiting_records.end() || *pos != entry) {
+    ft.waiting_records.insert(pos, entry);
+  }
+}
+
+void LockManager::RemoveWaiting(FileTable& ft, RecordEntry* entry) {
+  auto pos = std::find(ft.waiting_records.begin(), ft.waiting_records.end(),
+                       entry);
+  if (pos != ft.waiting_records.end()) ft.waiting_records.erase(pos);
+}
+
+LockManager::OwnerCell* LockManager::FindOwner(const Transid& owner) {
+  const uint32_t* cell = owner_index_.Find(owner.Pack());
+  return cell == nullptr ? nullptr : &owners_[*cell];
+}
+
+LockManager::OwnerCell& LockManager::OwnerFor(const Transid& owner) {
+  if (OwnerCell* cell = FindOwner(owner)) return *cell;
+  uint32_t id;
+  if (free_owners_.empty()) {
+    id = static_cast<uint32_t>(owners_.size());
+    owners_.emplace_back();
+  } else {
+    id = free_owners_.back();
+    free_owners_.pop_back();
+  }
+  owner_index_.Insert(owner.Pack(), id);
+  owners_[id].owner = owner;
+  return owners_[id];
+}
+
+void LockManager::FreeOwner(OwnerCell& cell) {
+  assert(cell.waits.empty());
+  owner_index_.Erase(cell.owner.Pack());
+  free_owners_.push_back(static_cast<uint32_t>(&cell - owners_.data()));
+  cell.owner = Transid{};
+  cell.granted = false;
+  cell.held.clear();
+}
+
+size_t LockManager::RecordsHeldByOther(uint32_t file, const Transid& owner) {
+  size_t own = 0;
+  if (const OwnerCell* cell = FindOwner(owner)) {
+    for (const UnitRef& ref : cell->held) {
+      own += (ref.file == file && ref.record != nullptr) ? 1 : 0;
+    }
+  }
+  assert(own <= files_[file].held_records);
+  return files_[file].held_records - own;
+}
+
+void LockManager::Grant(const Transid& owner, const UnitRef& ref) {
+  UnitOf(ref).holder = owner;
+  ++held_count_;
+  if (ref.record != nullptr) ++files_[ref.file].held_records;
+  OwnerCell& cell = OwnerFor(owner);
+  cell.granted = true;
+  cell.held.push_back(ref);
+}
+
+void LockManager::AddWait(const Transid& owner, const UnitRef& ref) {
+  OwnerFor(owner).waits.push_back(ref);
   ++waiter_count_;
 }
 
-void LockManager::RemoveWait(const Transid& owner, const LockKey& key) {
-  auto it = waits_.find(owner.Pack());
-  if (it == waits_.end()) return;
-  auto& keys = it->second;
-  for (auto kit = keys.begin(); kit != keys.end(); ++kit) {
-    if (*kit == key) {
-      keys.erase(kit);
-      --waiter_count_;
-      break;
-    }
-  }
-  if (keys.empty()) waits_.erase(it);
+void LockManager::RemoveWait(const Transid& owner, const UnitRef& ref) {
+  OwnerCell* cell = FindOwner(owner);
+  if (cell == nullptr) return;
+  auto it = std::find(cell->waits.begin(), cell->waits.end(), ref);
+  if (it == cell->waits.end()) return;
+  cell->waits.erase(it);
+  --waiter_count_;
+  if (cell->waits.empty() && !cell->granted) FreeOwner(*cell);
 }
 
 LockManager::AcquireResult LockManager::Acquire(const Transid& owner,
                                                 const LockKey& key) {
   assert(owner.valid());
-  FileTable& ft = InternFile(key.file);
+  const uint32_t file = InternFile(key.file);
+  FileTable& ft = files_[file];
 
   // Covered by the owner's file lock?
   if (!key.file_level() && ft.file_unit.holder == owner) {
     return AcquireResult::kGranted;
   }
 
-  Unit& unit = key.file_level() ? ft.file_unit : ft.records[key.record];
+  const UnitRef ref{file,
+                    key.file_level() ? nullptr : RecordUnit(ft, key.record)};
+  Unit& unit = UnitOf(ref);
   if (unit.holder == owner) return AcquireResult::kGranted;
 
   bool grantable;
   if (key.file_level()) {
     grantable = !unit.holder.valid() && unit.waiters.empty() &&
-                RecordsHeldByOther(ft, owner) == 0;
+                RecordsHeldByOther(file, owner) == 0;
   } else {
     grantable = !unit.holder.valid() && unit.waiters.empty() &&
                 !(ft.file_unit.holder.valid() &&
@@ -82,13 +155,7 @@ LockManager::AcquireResult LockManager::Acquire(const Transid& owner,
   }
 
   if (grantable) {
-    unit.holder = owner;
-    ++held_count_;
-    if (!key.file_level()) {
-      ++ft.held_records;
-      ++ft.held_by[owner.Pack()];
-    }
-    owned_[owner].insert(key);
+    Grant(owner, ref);
     return AcquireResult::kGranted;
   }
   // FIFO wait. The same owner never queues twice on one unit.
@@ -96,184 +163,160 @@ LockManager::AcquireResult LockManager::Acquire(const Transid& owner,
     if (w == owner) return AcquireResult::kQueued;
   }
   unit.waiters.push_back(owner);
-  if (!key.file_level()) ft.waiting_records.insert(key.record);
-  AddWait(owner, key);
+  if (ref.record != nullptr) AddWaiting(ft, ref.record);
+  AddWait(owner, ref);
   return AcquireResult::kQueued;
 }
 
 void LockManager::ForceGrant(const Transid& owner, const LockKey& key) {
-  FileTable& ft = InternFile(key.file);
-  Unit& unit = key.file_level() ? ft.file_unit : ft.records[key.record];
-  if (unit.holder == owner) {
-    owned_[owner].insert(key);
+  const uint32_t file = InternFile(key.file);
+  FileTable& ft = files_[file];
+  const UnitRef ref{file,
+                    key.file_level() ? nullptr : RecordUnit(ft, key.record)};
+  Unit& unit = UnitOf(ref);
+  if (unit.holder == owner) return;
+  if (unit.holder.valid()) {
+    // Reassignment (backup mirroring an out-of-order checkpoint): the unit
+    // moves to the new owner's list. The old holder keeps its cell, so it
+    // still counts among Holders() until its own release.
+    OwnerCell* old = FindOwner(unit.holder);
+    assert(old != nullptr);
+    old->held.erase(std::find(old->held.begin(), old->held.end(), ref));
+    unit.holder = owner;
+    OwnerCell& cell = OwnerFor(owner);
+    cell.granted = true;
+    cell.held.push_back(ref);
     return;
   }
-  if (unit.holder.valid()) {
-    // Reassignment (backup mirroring an out-of-order checkpoint): shift the
-    // per-owner accounting; the old holder's owned_ entry goes stale, which
-    // ReleaseAll tolerates by checking the live holder.
-    if (!key.file_level()) {
-      auto it = ft.held_by.find(unit.holder.Pack());
-      if (it != ft.held_by.end() && --it->second == 0) ft.held_by.erase(it);
-      ++ft.held_by[owner.Pack()];
-    }
-  } else {
-    ++held_count_;
-    if (!key.file_level()) {
-      ++ft.held_records;
-      ++ft.held_by[owner.Pack()];
-    }
-  }
-  unit.holder = owner;
-  owned_[owner].insert(key);
+  Grant(owner, ref);
 }
 
 std::vector<LockGrant> LockManager::ReleaseAll(const Transid& owner) {
   std::vector<LockGrant> grants;
-  auto oit = owned_.find(owner);
-  // Files needing promotion / cleanup, in name order (owned_ iterates keys
-  // sorted by (file, record), so insertion order is already by file name).
-  std::vector<FileTable*> touched;
-  std::vector<std::pair<FileTable*, Bytes>> released_records;
+  OwnerCell* cell = FindOwner(owner);
+  if (cell == nullptr) return grants;
 
-  if (oit != owned_.end()) {
-    for (const auto& key : oit->second) {
-      FileTable* ft = FindFile(key.file);
-      if (ft == nullptr) continue;
-      Unit* unit;
-      if (key.file_level()) {
-        unit = &ft->file_unit;
-      } else {
-        auto rit = ft->records.find(key.record);
-        unit = rit == ft->records.end() ? nullptr : &rit->second;
-      }
-      if (unit != nullptr && unit->holder == owner) {
-        unit->holder = Transid{};
-        --held_count_;
-        if (!key.file_level()) {
-          --ft->held_records;
-          auto hit = ft->held_by.find(owner.Pack());
-          if (hit != ft->held_by.end() && --hit->second == 0) {
-            ft->held_by.erase(hit);
-          }
-          released_records.emplace_back(ft, key.record);
-        }
-        if (touched.empty() || touched.back() != ft) touched.push_back(ft);
-      }
+  // Files needing promotion, and record units that may end up free and
+  // unwanted once promotion is done.
+  touched_.clear();
+  released_.clear();
+  for (const UnitRef& ref : cell->held) {
+    Unit& unit = UnitOf(ref);
+    assert(unit.holder == owner);
+    unit.holder = Transid{};
+    --held_count_;
+    if (ref.record != nullptr) {
+      --files_[ref.file].held_records;
+      released_.push_back(ref);
     }
-    owned_.erase(oit);
+    if (std::find(touched_.begin(), touched_.end(), ref.file) ==
+        touched_.end()) {
+      touched_.push_back(ref.file);
+    }
   }
   // Also drop this owner from every wait queue it is parked in (an aborting
   // transaction may be waiting somewhere).
-  auto wit = waits_.find(owner.Pack());
-  if (wit != waits_.end()) {
-    for (const auto& key : wit->second) {
-      FileTable* ft = FindFile(key.file);
-      if (ft == nullptr) continue;
-      Unit& unit = key.file_level() ? ft->file_unit
-                                    : ft->records[key.record];
-      for (auto qit = unit.waiters.begin(); qit != unit.waiters.end();) {
-        if (*qit == owner) qit = unit.waiters.erase(qit);
-        else ++qit;
-      }
-      if (!key.file_level() && unit.waiters.empty()) {
-        ft->waiting_records.erase(key.record);
-        if (!unit.holder.valid()) ft->records.erase(key.record);
+  const size_t held_records = released_.size();
+  for (const UnitRef& ref : cell->waits) {
+    Unit& unit = UnitOf(ref);
+    unit.waiters.erase(
+        std::remove(unit.waiters.begin(), unit.waiters.end(), owner),
+        unit.waiters.end());
+    if (ref.record != nullptr && unit.waiters.empty()) {
+      RemoveWaiting(files_[ref.file], ref.record);
+      // A unit can be both held and waited on by one owner after a
+      // ForceGrant; it is already a candidate then.
+      if (std::find(released_.begin(), released_.begin() + held_records,
+                    ref) == released_.begin() + held_records) {
+        released_.push_back(ref);
       }
     }
-    waiter_count_ -= wit->second.size();
-    waits_.erase(wit);
   }
+  waiter_count_ -= cell->waits.size();
+  cell->waits.clear();
+  FreeOwner(*cell);
 
-  for (FileTable* ft : touched) {
-    PromoteWaiters(*ft, &grants);
+  // Promote per file in name order, as a release scan sorted by
+  // (file, record) would.
+  std::sort(touched_.begin(), touched_.end(), [this](uint32_t a, uint32_t b) {
+    return files_[a].name < files_[b].name;
+  });
+  for (uint32_t file : touched_) {
+    PromoteWaiters(file, &grants);
   }
   // Drop record units the release left free and unwanted, keeping the hash
-  // tables tight (the old map-based table erased all empty units here).
-  for (auto& [ft, record] : released_records) {
-    auto rit = ft->records.find(record);
-    if (rit != ft->records.end() && !rit->second.holder.valid() &&
-        rit->second.waiters.empty()) {
-      ft->records.erase(rit);
+  // tables tight; their nodes serve the next new keys.
+  for (const UnitRef& ref : released_) {
+    const Unit& unit = ref.record->second;
+    if (!unit.holder.valid() && unit.waiters.empty()) {
+      RecycleRecord(files_[ref.file], ref.record);
     }
   }
   return grants;
 }
 
-void LockManager::PromoteWaiters(FileTable& ft,
+void LockManager::PromoteWaiters(uint32_t file,
                                  std::vector<LockGrant>* grants) {
   // Consider the file-level unit plus every record unit with waiters, in
   // byte order, and keep promoting until a pass grants nothing (a file-lock
   // grant can block later record grants and vice versa). This matches the
   // sorted full scan of the original implementation, so the grant sequence
   // is byte-identical; it merely skips units with nobody waiting.
+  FileTable& ft = files_[file];
   bool progress = true;
   while (progress) {
     progress = false;
     if (!ft.file_unit.holder.valid() && !ft.file_unit.waiters.empty()) {
       const Transid candidate = ft.file_unit.waiters.front();
-      if (RecordsHeldByOther(ft, candidate) == 0) {
-        ft.file_unit.holder = candidate;
-        ++held_count_;
-        LockKey key{ft.name, {}};
-        owned_[candidate].insert(key);
-        grants->push_back(LockGrant{candidate, key});
-        ft.file_unit.waiters.pop_front();
-        RemoveWait(candidate, key);
+      if (RecordsHeldByOther(file, candidate) == 0) {
+        const UnitRef ref{file, nullptr};
+        Grant(candidate, ref);
+        grants->push_back(LockGrant{candidate, LockKey{ft.name, {}}});
+        ft.file_unit.waiters.erase(ft.file_unit.waiters.begin());
+        RemoveWait(candidate, ref);
         progress = true;
       }
     }
-    // Snapshot: grants during the pass may empty queues and mutate the set.
-    std::vector<const Bytes*> waiting;
-    waiting.reserve(ft.waiting_records.size());
-    for (const Bytes& r : ft.waiting_records) waiting.push_back(&r);
-    for (const Bytes* record : waiting) {
-      auto rit = ft.records.find(*record);
-      if (rit == ft.records.end()) continue;
-      Unit& unit = rit->second;
+    // Snapshot: grants during the pass may empty queues and mutate the list.
+    promote_scan_.assign(ft.waiting_records.begin(), ft.waiting_records.end());
+    for (RecordEntry* entry : promote_scan_) {
+      Unit& unit = entry->second;
       if (unit.holder.valid() || unit.waiters.empty()) continue;
       const Transid candidate = unit.waiters.front();
       if (ft.file_unit.holder.valid() && !(ft.file_unit.holder == candidate)) {
         continue;
       }
-      unit.holder = candidate;
-      ++held_count_;
-      ++ft.held_records;
-      ++ft.held_by[candidate.Pack()];
-      LockKey key{ft.name, *record};
-      owned_[candidate].insert(key);
-      grants->push_back(LockGrant{candidate, key});
-      unit.waiters.pop_front();
-      RemoveWait(candidate, key);
-      if (unit.waiters.empty()) ft.waiting_records.erase(*record);
+      const UnitRef ref{file, entry};
+      Grant(candidate, ref);
+      grants->push_back(LockGrant{candidate, LockKey{ft.name, entry->first}});
+      unit.waiters.erase(unit.waiters.begin());
+      RemoveWait(candidate, ref);
+      if (unit.waiters.empty()) RemoveWaiting(ft, entry);
       progress = true;
     }
   }
 }
 
 bool LockManager::CancelWait(const Transid& owner, const LockKey& key) {
-  FileTable* ft = FindFile(key.file);
-  if (ft == nullptr) return false;
-  Unit* unit;
-  if (key.file_level()) {
-    unit = &ft->file_unit;
-  } else {
-    auto rit = ft->records.find(key.record);
-    if (rit == ft->records.end()) return false;
-    unit = &rit->second;
+  auto fit = file_ids_.find(key.file);
+  if (fit == file_ids_.end()) return false;
+  FileTable& ft = files_[fit->second];
+  UnitRef ref{fit->second, nullptr};
+  if (!key.file_level()) {
+    auto rit = ft.records.find(key.record);
+    if (rit == ft.records.end()) return false;
+    ref.record = &*rit;
   }
-  for (auto qit = unit->waiters.begin(); qit != unit->waiters.end(); ++qit) {
-    if (*qit == owner) {
-      unit->waiters.erase(qit);
-      RemoveWait(owner, key);
-      if (!key.file_level() && unit->waiters.empty()) {
-        ft->waiting_records.erase(key.record);
-        if (!unit->holder.valid()) ft->records.erase(key.record);
-      }
-      return true;
-    }
+  Unit& unit = UnitOf(ref);
+  auto qit = std::find(unit.waiters.begin(), unit.waiters.end(), owner);
+  if (qit == unit.waiters.end()) return false;
+  unit.waiters.erase(qit);
+  RemoveWait(owner, ref);
+  if (ref.record != nullptr && unit.waiters.empty()) {
+    RemoveWaiting(ft, ref.record);
+    if (!unit.holder.valid()) RecycleRecord(ft, ref.record);
   }
-  return false;
+  return true;
 }
 
 bool LockManager::Holds(const Transid& owner, const LockKey& key) const {
@@ -299,17 +342,18 @@ std::vector<LockGrant> LockManager::AllHeld() const {
     if (ft->file_unit.holder.valid()) {
       out.push_back(LockGrant{ft->file_unit.holder, LockKey{ft->name, {}}});
     }
-    std::vector<const Bytes*> keys;
-    keys.reserve(ft->records.size());
-    for (const auto& [record, unit] : ft->records) {
-      if (unit.holder.valid()) keys.push_back(&record);
+    std::vector<const RecordEntry*> held;
+    held.reserve(ft->records.size());
+    for (const RecordEntry& entry : ft->records) {
+      if (entry.second.holder.valid()) held.push_back(&entry);
     }
-    std::sort(keys.begin(), keys.end(), [](const Bytes* a, const Bytes* b) {
-      return Slice(*a) < Slice(*b);
-    });
-    for (const Bytes* record : keys) {
+    std::sort(held.begin(), held.end(),
+              [](const RecordEntry* a, const RecordEntry* b) {
+                return Slice(a->first) < Slice(b->first);
+              });
+    for (const RecordEntry* entry : held) {
       out.push_back(
-          LockGrant{ft->records.at(*record).holder, LockKey{ft->name, *record}});
+          LockGrant{entry->second.holder, LockKey{ft->name, entry->first}});
     }
   }
   return out;
@@ -317,10 +361,10 @@ std::vector<LockGrant> LockManager::AllHeld() const {
 
 std::vector<Transid> LockManager::Holders() const {
   std::vector<Transid> out;
-  for (const auto& [owner, keys] : owned_) {
-    (void)keys;
-    out.push_back(owner);
+  for (const OwnerCell& cell : owners_) {
+    if (cell.owner.valid() && cell.granted) out.push_back(cell.owner);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -5,27 +5,29 @@
 // locks exclusive, FIFO waiting, deadlock resolution by timeout (the
 // timeout itself lives in the DISCPROCESS, which cancels the wait).
 //
-// Internally the table is organized for O(1) grant checks: file names are
-// interned to dense ids, each file owns a hash table of record units plus a
-// maintained count of record units held per owner, so "does any OTHER
-// transaction hold a record of this file" is a subtraction instead of a map
-// scan. Waiter promotion iterates only units that actually have waiters, in
-// the same deterministic order (file-level unit first, then record keys in
-// byte order) as the original full-scan implementation, so grant order —
-// and therefore every same-seed simulation trace — is unchanged.
+// Internally the table is organized for cheap grant checks and a heap-free
+// steady state: file names are interned to dense ids, each file owns a hash
+// table of record units, and each transaction owns a pooled cell listing the
+// units it holds and waits on. Record units freed by a release are kept as
+// extracted hash nodes and reused by the next new key (the key buffer is
+// reassigned in place), and wait queues are vectors, so a warm Acquire /
+// ReleaseAll cycle allocates nothing. Waiter promotion iterates only units
+// that actually have waiters, in the same deterministic order (file-level
+// unit first, then record keys in byte order, files by name) as the original
+// full-scan implementation, so grant order — and therefore every same-seed
+// simulation trace — is unchanged.
 
 #ifndef ENCOMPASS_DISCPROCESS_LOCK_MANAGER_H_
 #define ENCOMPASS_DISCPROCESS_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/slice.h"
 #include "common/transid.h"
 
@@ -63,6 +65,11 @@ class LockManager {
     kQueued,   ///< caller waits in FIFO order
   };
 
+  LockManager() = default;
+  // Owner cells and wait lists point at this table's own hash nodes.
+  LockManager(const LockManager&) = delete;
+  LockManager& operator=(const LockManager&) = delete;
+
   /// Requests the lock. A file-level lock conflicts with every record lock
   /// in that file held by another transaction, and vice versa. Re-acquiring
   /// a held lock (or a record covered by the caller's file lock) grants.
@@ -95,7 +102,7 @@ class LockManager {
  private:
   struct Unit {
     Transid holder;                // !valid() = free
-    std::deque<Transid> waiters;   // FIFO
+    std::vector<Transid> waiters;  // FIFO
   };
 
   struct BytesHash {
@@ -105,41 +112,88 @@ class LockManager {
     }
   };
 
-  /// All lock state of one file. Record units live in a hash table; the set
-  /// of record keys with a nonempty wait queue is kept sorted so promotion
-  /// scans only contended units, in deterministic byte order.
+  using RecordTable = std::unordered_map<Bytes, Unit, BytesHash>;
+  /// A record unit with its key. Its address is stable while it is in the
+  /// table (rehashing moves no node).
+  using RecordEntry = RecordTable::value_type;
+
+  /// All lock state of one file. Record units live in a hash table; the
+  /// units with a nonempty wait queue are also kept sorted by key, so
+  /// promotion scans only contended units, in deterministic byte order.
   struct FileTable {
     std::string name;
     Unit file_unit;
-    std::unordered_map<Bytes, Unit, BytesHash> records;
+    RecordTable records;
     size_t held_records = 0;  ///< record units with a valid holder
-    /// packed owner -> record units of this file it holds (absent = 0).
-    std::unordered_map<uint64_t, size_t> held_by;
-    std::set<Bytes> waiting_records;  ///< record keys with waiters, sorted
+    std::vector<RecordEntry*> waiting_records;  ///< sorted by key
   };
 
-  FileTable& InternFile(const std::string& file);
+  /// One lockable unit: a record entry of file `file`, or that file's
+  /// file-level unit when `record` is null.
+  struct UnitRef {
+    uint32_t file;
+    RecordEntry* record;
+    friend bool operator==(const UnitRef& a, const UnitRef& b) {
+      return a.file == b.file && a.record == b.record;
+    }
+  };
+
+  /// What one transaction holds and waits on. Cells are pooled, and their
+  /// lists keep their capacity from one transaction to the next.
+  struct OwnerCell {
+    Transid owner;      ///< !valid() = free cell
+    bool granted = false;  ///< has been granted a lock since its last release
+    std::vector<UnitRef> held;   ///< every unit it holds, each exactly once
+    std::vector<UnitRef> waits;  ///< every queue it waits in
+  };
+
+  uint32_t InternFile(const std::string& file);
   FileTable* FindFile(const std::string& file);
   const FileTable* FindFile(const std::string& file) const;
+  Unit& UnitOf(const UnitRef& ref) {
+    return ref.record != nullptr ? ref.record->second
+                                 : files_[ref.file].file_unit;
+  }
 
-  /// Record units of `ft` held by transactions other than `owner`. O(1).
-  size_t RecordsHeldByOther(const FileTable& ft, const Transid& owner) const;
+  /// The record unit for `record`, created (from a recycled node when one
+  /// is free) if absent.
+  RecordEntry* RecordUnit(FileTable& ft, const Bytes& record);
+  /// Removes a free, unwanted record unit and keeps its node for reuse.
+  void RecycleRecord(FileTable& ft, RecordEntry* entry);
+  void AddWaiting(FileTable& ft, RecordEntry* entry);
+  void RemoveWaiting(FileTable& ft, RecordEntry* entry);
 
-  /// Promotes waiters of `ft` whose grant conditions now hold; appends
-  /// grants in the same order as a sorted full scan would produce.
-  void PromoteWaiters(FileTable& ft, std::vector<LockGrant>* grants);
+  /// The owner's cell, or nullptr. Valid until the next OwnerFor.
+  OwnerCell* FindOwner(const Transid& owner);
+  /// The owner's cell, taken from the pool if absent.
+  OwnerCell& OwnerFor(const Transid& owner);
+  /// Returns a cell with no holds and no waits to the pool.
+  void FreeOwner(OwnerCell& cell);
 
-  void AddWait(const Transid& owner, const LockKey& key);
-  void RemoveWait(const Transid& owner, const LockKey& key);
+  /// Record units of file `file` held by transactions other than `owner`.
+  size_t RecordsHeldByOther(uint32_t file, const Transid& owner);
+
+  void Grant(const Transid& owner, const UnitRef& ref);
+  /// Promotes waiters of file `file` whose grant conditions now hold;
+  /// appends grants in the same order as a sorted full scan would produce.
+  void PromoteWaiters(uint32_t file, std::vector<LockGrant>* grants);
+
+  void AddWait(const Transid& owner, const UnitRef& ref);
+  void RemoveWait(const Transid& owner, const UnitRef& ref);
 
   std::unordered_map<std::string, uint32_t> file_ids_;
   std::vector<FileTable> files_;
-  /// Keys held per owner, in deterministic (file, record) order — drives
-  /// release and promotion ordering. May contain stale entries for units
-  /// reassigned by ForceGrant; ReleaseAll checks the live holder.
-  std::map<Transid, std::set<LockKey>> owned_;
-  /// Queues each owner waits in (for O(queues-of-owner) release scrubbing).
-  std::unordered_map<uint64_t, std::vector<LockKey>> waits_;
+  std::vector<RecordTable::node_type> free_records_;  ///< recycled units
+
+  std::vector<OwnerCell> owners_;
+  std::vector<uint32_t> free_owners_;
+  FlatMap<uint64_t, uint32_t> owner_index_;  ///< packed transid -> owners_
+
+  // Scratch lists of ReleaseAll and PromoteWaiters, kept for their capacity.
+  std::vector<uint32_t> touched_;
+  std::vector<UnitRef> released_;
+  std::vector<RecordEntry*> promote_scan_;
+
   size_t held_count_ = 0;
   size_t waiter_count_ = 0;
 };

@@ -72,44 +72,66 @@ uint64_t Process::Call(const net::Address& dst, uint32_t tag, Bytes payload,
   msg.payload = std::move(payload);
   StampTrace(msg);
 
-  PendingCall pending;
+  uint32_t cell;
+  if (free_calls_.empty()) {
+    cell = static_cast<uint32_t>(calls_.size());
+    calls_.emplace_back();
+  } else {
+    cell = free_calls_.back();
+    free_calls_.pop_back();
+  }
+  PendingCall& pending = calls_[cell];
   if (options.retries > 0) {
     pending.original = msg;
   } else {
     pending.original.dst = dst;
   }
   pending.cb = std::move(cb);
+  pending.timer = 0;
   pending.retries_left = options.retries;
   pending.timeout = options.timeout;
   pending.retry_backoff = options.retry_backoff;
   uint64_t request_id = msg.request_id;
-  pending_calls_.emplace(request_id, std::move(pending));
+  call_index_.Insert(request_id, cell);
 
   node_->Route(std::move(msg));
   StartCallTimer(request_id);
   return request_id;
 }
 
+Process::PendingCall* Process::FindCall(uint64_t request_id) {
+  const uint32_t* cell = call_index_.Find(request_id);
+  return cell == nullptr ? nullptr : &calls_[*cell];
+}
+
+void Process::ReleaseCall(uint64_t request_id) {
+  const uint32_t* cell = call_index_.Find(request_id);
+  if (cell == nullptr) return;
+  calls_[*cell].cb = RpcCallback();
+  free_calls_.push_back(*cell);
+  call_index_.Erase(request_id);
+}
+
 void Process::StartCallTimer(uint64_t request_id) {
-  auto it = pending_calls_.find(request_id);
-  if (it == pending_calls_.end()) return;
-  it->second.timer = SetTimer(it->second.timeout, [this, request_id]() {
-    auto pit = pending_calls_.find(request_id);
-    if (pit == pending_calls_.end()) return;
-    if (pit->second.retries_left > 0) {
+  PendingCall* pending = FindCall(request_id);
+  if (pending == nullptr) return;
+  pending->timer = SetTimer(pending->timeout, [this, request_id]() {
+    PendingCall* pc = FindCall(request_id);
+    if (pc == nullptr) return;
+    if (pc->retries_left > 0) {
       // Transparent file-system retry: resend the identical request (same
       // request id). A name-addressed destination re-resolves at delivery,
       // so a retried request reaches the pair's new primary after takeover.
-      --pit->second.retries_left;
+      --pc->retries_left;
       stats_->Incr(m_call_retries_);
-      node_->Route(pit->second.original);
+      node_->Route(pc->original);
       StartCallTimer(request_id);
       return;
     }
     net::Message empty;
     empty.reply_to = request_id;
-    ResolveCall(request_id, Status::Timeout("no reply from " +
-                                            pit->second.original.dst.ToString()),
+    ResolveCall(request_id,
+                Status::Timeout("no reply from " + pc->original.dst.ToString()),
                 empty);
   });
 }
@@ -146,19 +168,19 @@ void Process::SendReply(net::ProcessId requester, uint32_t tag, uint64_t reply_t
 }
 
 void Process::CancelCall(uint64_t request_id) {
-  auto it = pending_calls_.find(request_id);
-  if (it == pending_calls_.end()) return;
-  CancelTimer(it->second.timer);
-  pending_calls_.erase(it);
+  PendingCall* pending = FindCall(request_id);
+  if (pending == nullptr) return;
+  CancelTimer(pending->timer);
+  ReleaseCall(request_id);
 }
 
 void Process::ResolveCall(uint64_t request_id, const Status& status,
                           const net::Message& msg) {
-  auto it = pending_calls_.find(request_id);
-  if (it == pending_calls_.end()) return;
-  CancelTimer(it->second.timer);
-  RpcCallback cb = std::move(it->second.cb);
-  pending_calls_.erase(it);
+  PendingCall* pending = FindCall(request_id);
+  if (pending == nullptr) return;
+  CancelTimer(pending->timer);
+  RpcCallback cb = std::move(pending->cb);
+  ReleaseCall(request_id);
   cb(status, msg);
 }
 
@@ -205,18 +227,18 @@ void Process::DispatchMessage(const net::Message& msg) {
       net::Message empty;
       empty.reply_to = msg.reply_to;
       // A send-failure may still be retried transparently.
-      auto it = pending_calls_.find(msg.reply_to);
-      if (it != pending_calls_.end() && it->second.retries_left > 0) {
-        --it->second.retries_left;
+      PendingCall* pending = FindCall(msg.reply_to);
+      if (pending != nullptr && pending->retries_left > 0) {
+        --pending->retries_left;
         stats_->Incr(m_call_retries_);
-        CancelTimer(it->second.timer);
+        CancelTimer(pending->timer);
         // Back off before resending: a fast failure (dead pid / unbound
         // name) usually means a takeover is in progress.
         uint64_t request_id = msg.reply_to;
-        it->second.timer = SetTimer(it->second.retry_backoff, [this, request_id]() {
-          auto pit = pending_calls_.find(request_id);
-          if (pit == pending_calls_.end()) return;
-          node_->Route(pit->second.original);
+        pending->timer = SetTimer(pending->retry_backoff, [this, request_id]() {
+          PendingCall* pc = FindCall(request_id);
+          if (pc == nullptr) return;
+          node_->Route(pc->original);
           StartCallTimer(request_id);
         });
         return;

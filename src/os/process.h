@@ -10,11 +10,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "net/message.h"
+#include "sim/event_fn.h"
 #include "sim/simulation.h"
 
 namespace encompass::os {
@@ -63,7 +65,9 @@ class Process {
 
   /// Reply callback: status is derived from the reply's status code; msg is
   /// the reply message (payload valid only when status is OK or app-defined).
-  using RpcCallback = std::function<void(const Status&, const net::Message&)>;
+  /// Move-only; a capture of up to 48 bytes is held without allocation.
+  using RpcCallback =
+      sim::InlineFunction<void(const Status&, const net::Message&), 48>;
 
   /// Request expecting a reply. Returns the request id (usable with
   /// CancelCall). The callback fires exactly once: with the reply, with a
@@ -163,9 +167,11 @@ class Process {
   sim::MetricId m_call_retries_;
   sim::TraceContext active_trace_;
 
+  /// One outstanding Call, in a slab cell that is reused once the call
+  /// resolves (its buffers keep their capacity for the next call).
   struct PendingCall {
-    // The full request for transparent retries, kept only when retries > 0;
-    // otherwise only its dst is set (for the timeout text).
+    // The full request for transparent retries, copied only when
+    // retries > 0; otherwise only its dst is set (for the timeout text).
     net::Message original;
     RpcCallback cb;
     uint64_t timer = 0;
@@ -173,7 +179,15 @@ class Process {
     SimDuration timeout = 0;
     SimDuration retry_backoff = 0;
   };
-  std::unordered_map<uint64_t, PendingCall> pending_calls_;
+  /// The pending call with this request id, or nullptr. Valid until the
+  /// next Call.
+  PendingCall* FindCall(uint64_t request_id);
+  /// Returns the call's cell to the free list.
+  void ReleaseCall(uint64_t request_id);
+
+  std::vector<PendingCall> calls_;
+  std::vector<uint32_t> free_calls_;
+  FlatMap<uint64_t, uint32_t> call_index_;  ///< request id -> cell of calls_
 
   // Liveness guard: timers capture a weak_ptr to this so callbacks scheduled
   // before a CPU failure cannot touch a destroyed process.

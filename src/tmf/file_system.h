@@ -12,9 +12,9 @@
 #define ENCOMPASS_TMF_FILE_SYSTEM_H_
 
 #include <functional>
-#include <set>
 #include <string>
 
+#include "common/flat_map.h"
 #include "discprocess/disc_protocol.h"
 #include "os/process.h"
 #include "storage/partition.h"
@@ -65,18 +65,46 @@ class FileSystem {
   /// Lock-wait timeout applied to disc requests (0 = DISCPROCESS default).
   void set_lock_timeout(SimDuration t) { lock_timeout_ = t; }
 
+  /// How many (transid, node) registrations this process remembers.
+  static constexpr size_t kEnsuredMemory = 1024;
+  /// Registrations currently remembered (for tests).
+  size_t ensured_count() const { return ensured_.size(); }
+
  private:
+  /// Encodes the request once and sends it to the partition owning
+  /// `routing_key`.
   void DiscOp(uint32_t tag, const std::string& file, const Slice& routing_key,
-              discprocess::DiscRequest req, Callback cb);
+              const discprocess::DiscRequestView& req, Callback cb);
+  /// Sends an encoded request to one partition, after a remote begin when
+  /// this is the transaction's first request to that node.
   void SendToPartition(uint32_t tag, const storage::PartitionEntry& part,
-                       discprocess::DiscRequest req, Callback cb);
+                       Bytes request, Callback cb);
+  /// Issues the disc call under `transid` (the caller's transid when the
+  /// request was made; a remote begin may have run events since).
+  void Issue(const net::Address& dst, uint32_t tag, Bytes request,
+             Callback cb, uint64_t transid);
+
+  struct Ensured {
+    uint64_t transid = 0;
+    net::NodeId node = 0;
+    friend bool operator==(const Ensured& a, const Ensured& b) {
+      return a.transid == b.transid && a.node == b.node;
+    }
+  };
+  struct EnsuredHash {
+    size_t operator()(const Ensured& e) const noexcept {
+      return std::hash<uint64_t>()(e.transid) * 31 + e.node;
+    }
+  };
 
   os::Process* owner_;
   const storage::Catalog* catalog_;
   SimDuration lock_timeout_ = 0;
   /// (transid, node) pairs already registered — avoids repeat TMP round
-  /// trips from this process. The TMP itself dedups across processes.
-  std::set<std::pair<uint64_t, net::NodeId>> ensured_;
+  /// trips from this process. The TMP itself dedups across processes, so
+  /// only the newest kEnsuredMemory pairs are kept: a forgotten pair costs
+  /// at worst one extra remote-begin exchange.
+  RecentSet<Ensured, EnsuredHash> ensured_{kEnsuredMemory};
 };
 
 }  // namespace encompass::tmf

@@ -6,6 +6,8 @@
 #include "audit/audit_process.h"
 #include "audit/audit_record.h"
 #include "audit/audit_trail.h"
+#include "common/coding.h"
+#include "common/random.h"
 #include "os/cluster.h"
 #include "os/process_pair.h"
 #include "test_util.h"
@@ -50,6 +52,71 @@ TEST(AuditRecordTest, DecodeRejectsTruncation) {
   encoded.resize(encoded.size() / 2);
   Slice in(encoded);
   EXPECT_FALSE(AuditRecord::Decode(&in).ok());
+}
+
+// The record layout spelled out field by field: what every encoder of an
+// audit record must produce.
+Bytes ReferenceEncoding(const AuditRecord& rec) {
+  Bytes out;
+  PutFixed64(&out, rec.transid.Pack());
+  PutLengthPrefixed(&out, Slice(rec.volume));
+  PutLengthPrefixed(&out, Slice(rec.file));
+  PutFixed8(&out, static_cast<uint8_t>(rec.op));
+  PutLengthPrefixed(&out, Slice(rec.key));
+  PutLengthPrefixed(&out, Slice(rec.before));
+  PutLengthPrefixed(&out, Slice(rec.after));
+  PutVarint64(&out, rec.lsn);
+  return out;
+}
+
+TEST(AuditRecordTest, DirectEncodingMatchesRecordEncodingForRandomFields) {
+  // A DISCPROCESS encodes its audit straight from the operation's key and
+  // images (AuditRecordView), into a buffer sized exactly once.
+  Random rng(64);
+  auto bytes = [&rng](size_t max_len) {
+    Bytes b(rng.Uniform(max_len + 1));
+    for (auto& c : b) c = static_cast<uint8_t>(rng.Next());
+    return b;
+  };
+  for (int i = 0; i < 300; ++i) {
+    AuditRecord rec;
+    rec.transid = Transid{static_cast<uint16_t>(rng.Uniform(16)),
+                          static_cast<uint8_t>(rng.Uniform(4)),
+                          rng.Uniform(1ull << 40)};
+    rec.volume = "$DATA" + std::to_string(rng.Uniform(100));
+    rec.file = ToString(bytes(20));
+    rec.op = static_cast<storage::MutationOp>(rng.Uniform(3));
+    rec.key = bytes(40);
+    // Empty images and images past the 64-byte first reservation.
+    rec.before = rng.Uniform(4) == 0 ? Bytes() : bytes(300);
+    rec.after = rng.Uniform(4) == 0 ? Bytes() : bytes(300);
+    rec.lsn = rng.Uniform(3) == 0 ? 0 : rng.Next();
+    const Bytes want = ReferenceEncoding(rec);
+
+    const AuditRecordView view{rec.transid,      Slice(rec.volume),
+                               Slice(rec.file),  rec.op,
+                               Slice(rec.key),   Slice(rec.before),
+                               Slice(rec.after), rec.lsn};
+    const Bytes direct = view.Encode();
+    ASSERT_EQ(direct, want) << "record " << i;
+    EXPECT_EQ(direct.capacity(), direct.size()) << "record " << i;
+    EXPECT_EQ(rec.Encode(), want) << "record " << i;
+
+    // Appending into a reused buffer writes the same bytes after its
+    // prefix, and a buffer already large enough is not regrown.
+    Bytes reused(7, 0xAB);
+    reused.reserve(reused.size() + view.EncodedSize());
+    const uint8_t* data = reused.data();
+    view.EncodeTo(&reused);
+    EXPECT_EQ(reused.data(), data);
+    EXPECT_EQ(Bytes(reused.begin() + 7, reused.end()), want);
+
+    Slice in(direct);
+    auto decoded = AuditRecord::Decode(&in);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_TRUE(in.empty());
+    EXPECT_EQ(ReferenceEncoding(*decoded), want);
+  }
 }
 
 TEST(CompletionRecordTest, RoundTrip) {
@@ -197,6 +264,54 @@ class AuditGroupCommitTest : public ::testing::Test {
   AuditTrail trail_{"AT1"};
   TestClient* client_ = nullptr;
 };
+
+// The AUDITPROCESS's append path, on the same one-pair cluster.
+class AuditAppendTest : public AuditGroupCommitTest {};
+
+TEST_F(AuditAppendTest, BatchAppendsEveryRecordInOrder) {
+  Start(0);
+  std::vector<AuditRecord> batch{MakeRecord(7, "a"), MakeRecord(8, "bb"),
+                                 MakeRecord(7, "ccc")};
+  batch[1].before.clear();  // an insert's empty before-image
+  batch[2].after = Bytes(100, 9);
+  auto* r = client_->CallRaw(Audit(), kAuditAppend, EncodeAuditBatch(batch));
+  sim_->Run();
+  ASSERT_TRUE(r->done && r->status.ok());
+  EXPECT_EQ(trail_.record_count(), 3u);
+  auto seven = trail_.RecordsForTransaction(Transid{1, 0, 7});
+  ASSERT_EQ(seven.size(), 2u);
+  EXPECT_EQ(seven[0].lsn, 1u);
+  EXPECT_EQ(ToString(seven[0].key), "a");
+  EXPECT_EQ(seven[1].lsn, 3u);
+  EXPECT_EQ(ToString(seven[1].key), "ccc");
+  EXPECT_EQ(seven[1].after, Bytes(100, 9));
+  auto eight = trail_.RecordsForTransaction(Transid{1, 0, 8});
+  ASSERT_EQ(eight.size(), 1u);
+  EXPECT_EQ(eight[0].lsn, 2u);
+  EXPECT_TRUE(eight[0].before.empty());
+  EXPECT_EQ(eight[0].volume, "$DATA1");
+  EXPECT_EQ(eight[0].file, "acct");
+}
+
+TEST_F(AuditAppendTest, MalformedBatchIsRejectedWhole) {
+  Start(0);
+  // Claims 200 records but carries one: nothing may be appended.
+  Bytes payload;
+  PutVarint32(&payload, 200);
+  PutLengthPrefixed(&payload, Slice(MakeRecord(1, "a").Encode()));
+  auto* r = client_->CallRaw(Audit(), kAuditAppend, std::move(payload));
+  // A malformed record after a valid one rejects the whole batch too.
+  Bytes torn;
+  PutVarint32(&torn, 2);
+  PutLengthPrefixed(&torn, Slice(MakeRecord(2, "b").Encode()));
+  PutLengthPrefixed(&torn, Slice("junk"));
+  auto* t = client_->CallRaw(Audit(), kAuditAppend, std::move(torn));
+  sim_->Run();
+  ASSERT_TRUE(r->done && t->done);
+  EXPECT_TRUE(r->status.IsCorruption()) << r->status.ToString();
+  EXPECT_TRUE(t->status.IsCorruption()) << t->status.ToString();
+  EXPECT_EQ(trail_.record_count(), 0u);
+}
 
 TEST_F(AuditGroupCommitTest, ConcurrentForcesCoalesce) {
   Start(/*window=*/0);

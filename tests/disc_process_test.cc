@@ -422,11 +422,12 @@ TEST_F(DiscProcessTest, DiscRequestCodecRoundTrip) {
   req.undo_op = storage::MutationOp::kDelete;
   req.lock_timeout = Millis(123);
   req.max_records = 77;
-  auto decoded = DiscRequest::Decode(Slice(req.Encode()));
+  const Bytes encoded = req.Encode();
+  auto decoded = DiscRequestView::Decode(Slice(encoded));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->file, "acct");
-  EXPECT_EQ(ToString(decoded->key), "k");
-  EXPECT_EQ(ToString(decoded->record), "rec");
+  EXPECT_EQ(decoded->key.ToString(), "k");
+  EXPECT_EQ(decoded->record.ToString(), "rec");
   EXPECT_EQ(decoded->field, "site");
   EXPECT_EQ(decoded->value, "cupertino");
   EXPECT_TRUE(decoded->lock);
@@ -668,6 +669,90 @@ TEST_F(DiscProcessTest, CoalescedCheckpointsSurviveTakeover) {
   ASSERT_TRUE(rig.disc.backup->IsPrimary());
   EXPECT_TRUE(rig.disc.backup->locks().Holds(Transid{1, 0, 9},
                                              LockKey{"acct", ToBytes("held")}));
+}
+
+TEST_F(DiscProcessTest, AuditImagesPastSixtyFourBytesReachTheTrailIntact) {
+  // The audit record is encoded straight from the request's key and the
+  // volume's before-image; long images must arrive byte for byte.
+  Bytes first(100, 0);
+  Bytes second(250, 0);
+  for (size_t i = 0; i < first.size(); ++i) first[i] = static_cast<uint8_t>(i);
+  for (size_t i = 0; i < second.size(); ++i) second[i] = static_cast<uint8_t>(7 * i);
+  DiscRequest ins;
+  ins.file = "acct";
+  ins.key = Bytes(70, 'k');
+  ins.record = first;
+  auto* r1 = Op(client_, kDiscInsert, ins, Txn(5));
+  sim_.Run();
+  DiscRequest up = ins;
+  up.record = second;
+  auto* r2 = Op(client_, kDiscUpdate, up, Txn(5));
+  sim_.Run();
+  ASSERT_TRUE(r1->status.ok() && r2->status.ok());
+  auto images = trail_.RecordsForTransaction(Transid{1, 0, 5});
+  ASSERT_EQ(images.size(), 2u);
+  EXPECT_EQ(images[0].volume, "$DATA1");
+  EXPECT_EQ(images[0].file, "acct");
+  EXPECT_EQ(images[0].key, Bytes(70, 'k'));
+  EXPECT_TRUE(images[0].before.empty());
+  EXPECT_EQ(images[0].after, first);
+  EXPECT_EQ(images[1].op, storage::MutationOp::kUpdate);
+  EXPECT_EQ(images[1].before, first);
+  EXPECT_EQ(images[1].after, second);
+}
+
+TEST_F(DiscProcessTest, ReplyEvictedFromCacheBeforeItsSendIsStillDelivered) {
+  // The reply cache holds two replies; every reply waits out a long service
+  // time. By the time the first replies are sent, later ones have evicted
+  // them from the cache ring — each must still go out with its own status
+  // and payload.
+  sim::Simulation sim(3);
+  os::Cluster cluster(&sim);
+  os::Node* node = cluster.AddNode(1);
+  storage::Volume volume("$DATA8");
+  ASSERT_TRUE(
+      volume.CreateFile("acct", storage::FileOrganization::kKeySequenced).ok());
+  DiscProcessConfig dcfg;
+  dcfg.volume = &volume;
+  dcfg.reply_cache_capacity = 2;
+  dcfg.base_latency = Millis(500);
+  dcfg.io_latency = Seconds(2);
+  os::SpawnPair<DiscProcess>(node, "$DATA8", 0, 1, dcfg);
+  TestClient* client = node->Spawn<TestClient>(2);
+  sim.Run();
+  const net::Address dst(1, "$DATA8");
+  auto request = [](const std::string& key, const std::string& record) {
+    DiscRequest req;
+    req.file = "acct";
+    req.key = ToBytes(key);
+    req.record = ToBytes(record);
+    return req.Encode();
+  };
+
+  const SimTime start = sim.Now();
+  auto* ins = client->CallRaw(dst, kDiscInsert, request("a", "v1"));
+  auto* rd = client->CallRaw(dst, kDiscRead, request("a", ""));
+  auto* missing = client->CallRaw(dst, kDiscRead, request("zz", ""));
+  auto* dup = client->CallRaw(dst, kDiscInsert, request("a", "v2"));
+  auto* ins_b = client->CallRaw(dst, kDiscInsert, request("b", "v3"));
+  sim.RunUntil(start + Millis(100));
+  EXPECT_FALSE(ins->done || rd->done || missing->done || dup->done ||
+               ins_b->done);  // all five still wait out their service time
+  sim.Run();
+
+  ASSERT_TRUE(ins->done && rd->done && missing->done && dup->done &&
+              ins_b->done);
+  EXPECT_TRUE(ins->status.ok());
+  EXPECT_EQ(ToString(ins->payload), "a");
+  EXPECT_TRUE(rd->status.ok());
+  EXPECT_EQ(ToString(rd->payload), "v1");
+  EXPECT_TRUE(missing->status.IsNotFound()) << missing->status.ToString();
+  EXPECT_TRUE(missing->payload.empty());
+  EXPECT_TRUE(dup->status.IsAlreadyExists()) << dup->status.ToString();
+  EXPECT_TRUE(dup->payload.empty());
+  EXPECT_TRUE(ins_b->status.ok());
+  EXPECT_EQ(ToString(ins_b->payload), "b");
+  EXPECT_EQ(sim.GetStats().Counter("disc.dedup_replays"), 0);
 }
 
 TEST_F(DiscProcessTest, ResyncedBackupEvictsRepliesOldestFirst) {

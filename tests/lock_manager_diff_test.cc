@@ -147,5 +147,76 @@ class WideHarness {
 TEST(LockManagerDiffTest, WideKeySpaceSeed5) { WideHarness::Run(5); }
 TEST(LockManagerDiffTest, WideKeySpaceSeed97) { WideHarness::Run(97); }
 
+// Unit recycling under churn. Released record units go back to a pool and
+// are reused by later keys, so this stream makes them change hands as much
+// as it can: keys of 1 to 48 bytes, a few hot short keys whose wait queues
+// drain and refill, file-level locks beside record locks, and backup-style
+// ForceGrants that reassign units already held by another transaction.
+class ChurnHarness {
+ public:
+  static void Run(uint64_t seed) {
+    Random rng(seed);
+    LockManager lm;
+    ReferenceLockManager ref;
+    const std::string files[] = {"f", "accounts", "a-much-longer-file-name"};
+    auto random_key = [&]() {
+      const std::string& file = files[rng.Uniform(3)];
+      const uint64_t dice = rng.Uniform(20);
+      if (dice == 0) return LockKey{file, {}};  // file-level
+      if (dice < 10) {                           // hot: queues form here
+        return LockKey{file, ToBytes("h" + std::to_string(rng.Uniform(3)))};
+      }
+      std::string record(1 + rng.Uniform(48), 'x');
+      for (char& c : record) c = static_cast<char>('a' + rng.Uniform(3));
+      return LockKey{file, ToBytes(record)};
+    };
+    for (int i = 0; i < 6000; ++i) {
+      const Transid owner = T(1 + rng.Uniform(12));
+      const uint64_t dice = rng.Uniform(100);
+      if (dice < 50) {
+        LockKey key = random_key();
+        ASSERT_EQ(lm.Acquire(owner, key), ref.Acquire(owner, key))
+            << owner.ToString() << " acquire " << key.ToString();
+      } else if (dice < 70) {
+        ASSERT_EQ(DumpGrants(lm.ReleaseAll(owner)),
+                  DumpGrants(ref.ReleaseAll(owner)))
+            << "release " << owner.ToString();
+      } else if (dice < 80) {
+        LockKey key = random_key();
+        ASSERT_EQ(lm.CancelWait(owner, key), ref.CancelWait(owner, key))
+            << "cancel " << key.ToString();
+      } else if (dice < 90) {
+        // Unconditional, as a backup applies a checkpointed grant: takes
+        // the unit from its holder, if any, even while others wait for it.
+        LockKey key = random_key();
+        lm.ForceGrant(owner, key);
+        ref.ForceGrant(owner, key);
+      } else {
+        LockKey key = random_key();
+        ASSERT_EQ(lm.Holds(owner, key), ref.Holds(owner, key));
+      }
+      ASSERT_EQ(lm.held_count(), ref.held_count()) << "step " << i;
+      ASSERT_EQ(lm.waiter_count(), ref.waiter_count()) << "step " << i;
+      if (i % 10 == 0) {
+        ASSERT_EQ(DumpHeld(lm.AllHeld()), DumpHeld(ref.AllHeld()))
+            << "step " << i;
+      }
+    }
+    for (uint64_t t = 1; t <= 12; ++t) {
+      ASSERT_EQ(DumpGrants(lm.ReleaseAll(T(t))),
+                DumpGrants(ref.ReleaseAll(T(t))))
+          << "drain txn " << t;
+    }
+    EXPECT_EQ(lm.held_count(), 0u);
+    EXPECT_EQ(lm.waiter_count(), 0u);
+    EXPECT_TRUE(lm.Holders().empty());
+  }
+};
+
+TEST(LockManagerDiffTest, UnitRecyclingChurnSeed3) { ChurnHarness::Run(3); }
+TEST(LockManagerDiffTest, UnitRecyclingChurnSeed2024) {
+  ChurnHarness::Run(2024);
+}
+
 }  // namespace
 }  // namespace encompass::discprocess

@@ -146,7 +146,7 @@ TEST(DecoderFuzzTest, RandomBytesNeverCrashDecoders) {
     // Every decoder either succeeds (structurally valid by luck) or returns
     // an error; none may crash or over-read (ASAN-checked in debug runs).
     (void)storage::Record::Decode(Slice(soup));
-    (void)discprocess::DiscRequest::Decode(Slice(soup));
+    (void)discprocess::DiscRequestView::Decode(Slice(soup));
     (void)discprocess::SeekReply::Decode(Slice(soup));
     (void)discprocess::ScanReply::Decode(Slice(soup));
     (void)discprocess::TxnStateChange::Decode(Slice(soup));
@@ -169,10 +169,10 @@ TEST(DecoderFuzzTest, TruncationsOfValidMessagesAreRejectedCleanly) {
   req.value = "cupertino";
   req.max_records = 99;
   Bytes full = req.Encode();
-  ASSERT_TRUE(discprocess::DiscRequest::Decode(Slice(full)).ok());
+  ASSERT_TRUE(discprocess::DiscRequestView::Decode(Slice(full)).ok());
   for (size_t cut = 0; cut < full.size(); ++cut) {
     Bytes truncated(full.begin(), full.begin() + cut);
-    EXPECT_FALSE(discprocess::DiscRequest::Decode(Slice(truncated)).ok())
+    EXPECT_FALSE(discprocess::DiscRequestView::Decode(Slice(truncated)).ok())
         << "cut at " << cut;
   }
 }

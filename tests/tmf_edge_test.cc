@@ -293,5 +293,45 @@ TEST_F(TmfEdgeTest, AuditQueueRedeliversAcrossAuditTakeover) {
   EXPECT_LE(images[0].lsn, trail->durable_lsn());  // forced at phase 1
 }
 
+/// Stands in for the TMP: acknowledges every remote-begin registration.
+class AckEverything : public os::Process {
+ public:
+  void OnMessage(const net::Message& msg) override {
+    ++registrations;
+    Reply(msg, Status::Ok());
+  }
+  int registrations = 0;
+};
+
+TEST(FileSystemMemoryTest, RemoteBeginMemoryStaysBoundedAcrossTransactions) {
+  // A long-lived client or server runs one distributed transaction after
+  // another. The (transid, node) pairs its file system has registered must
+  // not pile up for the life of the process: only the newest are kept.
+  sim::Simulation sim(5);
+  os::Cluster cluster(&sim);
+  os::Node* home = cluster.AddNode(1);
+  cluster.AddNode(2);
+  cluster.AddNode(3);
+  auto* tmp = home->Spawn<AckEverything>(0);
+  home->RegisterName("$TMP", tmp->id().pid);
+  auto* client = home->Spawn<TestClient>(1);
+  sim.Run();
+  FileSystem fs(client, nullptr);
+
+  constexpr int kTxns = 5000;
+  int ok = 0;
+  for (int t = 1; t <= kTxns; ++t) {
+    client->set_current_transid(Transid{1, 1, static_cast<uint64_t>(t)}.Pack());
+    for (net::NodeId dest : {2, 3, 2}) {  // the repeat is remembered
+      fs.EnsureRemote(dest, [&ok](const Status& s) { ok += s.ok() ? 1 : 0; });
+      sim.Run();
+    }
+  }
+  client->set_current_transid(0);
+  EXPECT_EQ(ok, 3 * kTxns);
+  EXPECT_EQ(tmp->registrations, 2 * kTxns);
+  EXPECT_LE(fs.ensured_count(), 1024u);
+}
+
 }  // namespace
 }  // namespace encompass::tmf

@@ -48,7 +48,6 @@ app::ChaosCampaignConfig CampaignConfig(uint64_t seed, bool paxos) {
   // every tick of an outage is a blocked retry; under Paxos Commit the
   // first post-grace tick escalates to the acceptor majority.
   cfg.indoubt_resolve_interval = Millis(250);
-  cfg.track_messages = true;
   if (paxos) {
     cfg.commit_protocol = tmf::CommitProtocol::kPaxos;
     cfg.commit_replication = 3;  // 2F+1, F = 1

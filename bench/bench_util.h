@@ -190,29 +190,6 @@ inline std::string NetTagName(uint32_t tag) {
   }
 }
 
-/// Per-transaction / per-verb message accounting of a tracked network
-/// (NetworkConfig::track_messages): emits `<prefix>.net.msgs_per_txn` (the
-/// Paxos Commit price) plus a per-verb breakdown of every cross-node send.
-inline void ReportNetMessages(const std::string& prefix,
-                              const net::Network& network,
-                              uint64_t committed_txns) {
-  uint64_t tracked = 0;
-  for (const auto& [transid, count] : network.PerTxnMessages()) {
-    (void)transid;
-    tracked += count;
-  }
-  ReportValue(prefix + ".net.msgs_tracked", static_cast<double>(tracked));
-  if (committed_txns > 0) {
-    ReportValue(prefix + ".net.msgs_per_txn",
-                static_cast<double>(tracked) /
-                    static_cast<double>(committed_txns));
-  }
-  for (const auto& [tag, count] : network.PerTagMessages()) {
-    ReportValue(prefix + ".net.msgs." + NetTagName(tag),
-                static_cast<double>(count));
-  }
-}
-
 /// Writes the report. Call last in main().
 inline void WriteReport() {
   if (GlobalReport() != nullptr) GlobalReport()->Write();

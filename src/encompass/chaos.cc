@@ -349,9 +349,7 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
   res.node_crashes = schedule.CountOf(sim::FaultClass::kNodeCrash);
 
   sim::Simulation sim(config.seed, config.parallel_workers);
-  net::NetworkConfig net_config;
-  net_config.track_messages = config.track_messages;
-  Deployment deploy(&sim, net_config);
+  Deployment deploy(&sim);
   for (int n = 1; n <= config.nodes; ++n) {
     NodeSpec spec;
     spec.id = static_cast<net::NodeId>(n);
@@ -362,8 +360,6 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
     // their locks wedge the drain.
     spec.tmp_config.indoubt_resolve_interval = config.indoubt_resolve_interval;
     spec.tmp_config.commit_protocol = config.commit_protocol;
-    spec.tmp_config.track_indoubt_hold = true;
-    spec.tmp_config.track_commit_latency = true;
     if (config.commit_protocol == tmf::CommitProtocol::kPaxos) {
       // Explicit endpoint placement: `$ACCEPT.<k>` pairs round-robined over
       // the nodes, so a 3-node cluster still fields 2F+1 = 5 acceptors when
@@ -736,20 +732,13 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
       if (r.status.ok()) res.balance_sum += ParseBalance(r.value);
     }
   }
-  if (config.track_messages) {
-    uint64_t tracked = 0;
-    for (const auto& [transid, count] :
-         deploy.cluster().network().PerTxnMessages()) {
-      (void)transid;
-      tracked += count;
-    }
-    res.tracked_messages = tracked;
-    if (res.txns_committed > 0) {
-      res.msgs_per_committed_txn =
-          static_cast<double>(tracked) / static_cast<double>(res.txns_committed);
-    }
-    res.msgs_per_tag = deploy.cluster().network().PerTagMessages();
+  const net::Network& network = deploy.cluster().network();
+  res.tracked_messages = network.TxnMessages();
+  if (res.txns_committed > 0) {
+    res.msgs_per_committed_txn = static_cast<double>(res.tracked_messages) /
+                                 static_cast<double>(res.txns_committed);
   }
+  res.msgs_per_tag = network.PerTagMessages();
 
   if (res.balance_sum != res.expected_sum) {
     // Attribute the drift: recompute each account from the committed

@@ -173,9 +173,6 @@ struct ChaosCampaignConfig {
   /// commit_replication may exceed the node count).
   tmf::CommitProtocol commit_protocol = tmf::CommitProtocol::kTwoPhase;
   int commit_replication = 3;
-  /// Per-transaction / per-verb network message accounting
-  /// (ChaosCampaignResult::msgs_per_committed_txn). Off by default.
-  bool track_messages = false;
   /// How often an in-doubt participant re-asks for its disposition. The
   /// default (2s) outlasts most storm outages, so pre-PR campaign traces are
   /// unchanged; protocol-comparison runs shrink it below the storm's heal
@@ -239,13 +236,12 @@ struct ChaosCampaignResult {
   double commit_latency_p99_ms = 0;
   /// High-water of recovery negotiation attempts for any single transid.
   int64_t recovery_max_retry_attempts = 0;
-  /// Cross-node messages per committed transaction (config.track_messages
-  /// only): total transid-attributed network sends / txns_committed. Paxos
-  /// Commit's co-located votes never cross the network, so its count stays
-  /// close to 2PC's.
+  /// Cross-node messages per committed transaction: total transid-attributed
+  /// network sends / txns_committed. Paxos Commit's co-located votes never
+  /// cross the network, so its count stays close to 2PC's.
   double msgs_per_committed_txn = 0;
   uint64_t tracked_messages = 0;  ///< transid-attributed cross-node sends
-  /// Per-verb breakdown of every cross-node send (track_messages only).
+  /// Per-verb breakdown of every cross-node send.
   std::map<uint32_t, uint64_t> msgs_per_tag;
   /// Acceptor-log occupancy (paxos only): the largest instance count any
   /// single acceptor log ever held, and the instances still resident after

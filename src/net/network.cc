@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -28,7 +29,9 @@ void Network::AddNode(NodeId id, DeliverFn deliver) {
   // Pre-create the per-source routing table: after setup the table vector
   // is frozen, so node events (possibly on worker threads) only ever touch
   // their own node's table.
+  // Likewise the message ledgers: each is written only by its own node.
   if (id >= route_tables_.size()) route_tables_.resize(id + 1);
+  if (id >= ledgers_.size()) ledgers_.resize(id + 1);
   ++topology_version_;
 }
 
@@ -148,26 +151,36 @@ std::vector<NodeId> Network::Route(NodeId from, NodeId to) const {
 
 void Network::Send(Message msg) {
   sim_->GetStats().Incr(metrics_.sent);
-  if (config_.track_messages) {
-    // Counted at first send, not per retransmit: this prices the protocol's
-    // message complexity, not the loss schedule. Attribution prefers the
-    // explicit transid stamp and falls back to the causal trace context.
-    const uint64_t transid = msg.transid != 0 ? msg.transid : msg.trace.transid;
-    std::lock_guard<std::mutex> lock(track_mutex_);
-    ++per_tag_msgs_[msg.tag];
-    if (transid != 0) ++per_txn_msgs_[transid];
-  }
+  CountSend(msg);
   Transmit(std::move(msg), 0);
 }
 
-std::map<uint64_t, uint64_t> Network::PerTxnMessages() const {
-  std::lock_guard<std::mutex> lock(track_mutex_);
-  return per_txn_msgs_;
+// Counted here, at first send, and never in Transmit: the ledger prices the
+// protocol's message complexity, not the loss schedule.
+void Network::CountSend(const Message& msg) {
+  const NodeId src = msg.src.node;
+  if (src == msg.dst.node || src >= ledgers_.size()) return;
+  Ledger& ledger = ledgers_[src];
+  if (msg.transid != 0 || msg.trace.transid != 0) ++ledger.txn_msgs;
+  auto& tags = ledger.per_tag;
+  auto it = std::lower_bound(tags.begin(), tags.end(),
+                             std::pair<uint32_t, uint64_t>{msg.tag, 0});
+  if (it == tags.end() || it->first != msg.tag) it = tags.insert(it, {msg.tag, 0});
+  ++it->second;
+}
+
+uint64_t Network::TxnMessages() const {
+  uint64_t total = 0;
+  for (const Ledger& ledger : ledgers_) total += ledger.txn_msgs;
+  return total;
 }
 
 std::map<uint32_t, uint64_t> Network::PerTagMessages() const {
-  std::lock_guard<std::mutex> lock(track_mutex_);
-  return per_tag_msgs_;
+  std::map<uint32_t, uint64_t> total;
+  for (const Ledger& ledger : ledgers_) {
+    for (const auto& [tag, count] : ledger.per_tag) total[tag] += count;
+  }
+  return total;
 }
 
 void Network::Transmit(Message msg, int attempt) {

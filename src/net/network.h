@@ -13,8 +13,8 @@
 
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -28,12 +28,6 @@ struct NetworkConfig {
   SimDuration retry_interval = Millis(50); ///< end-to-end retransmit pacing
   int max_retries = 6;                     ///< retransmits before giving up
   double loss_probability = 0.0;           ///< per-transmission random loss
-  /// Per-transaction / per-verb message accounting (PerTxnMessages /
-  /// PerTagMessages). Off by default: benches turn it on to price a commit
-  /// protocol's message complexity. Only cross-node messages are counted —
-  /// same-node traffic never reaches the Network, which is exactly what
-  /// makes a co-located acceptor vote free.
-  bool track_messages = false;
 };
 
 /// Simulated wide-area network connecting Tandem nodes.
@@ -88,10 +82,16 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
 
-  /// Snapshot of the track_messages accounting: cross-node messages per
-  /// packed transid (messages with no transid stamp are only in the tag
-  /// totals) and per message tag. Empty when tracking is off.
-  std::map<uint64_t, uint64_t> PerTxnMessages() const;
+  /// The message ledger, which prices a commit protocol's message
+  /// complexity. Every cross-node send is counted once, at first send (not
+  /// per retransmit); same-node traffic is never counted, which is exactly
+  /// what makes a co-located acceptor vote free. Both totals sum the
+  /// per-source ledgers: read them between rounds or after a run.
+  ///
+  /// Cross-node sends attributed to a transaction: by the message's transid
+  /// stamp, else by its causal trace context.
+  uint64_t TxnMessages() const;
+  /// Cross-node sends per message tag, attributed or not.
   std::map<uint32_t, uint64_t> PerTagMessages() const;
 
  private:
@@ -129,6 +129,16 @@ class Network {
   /// Returns the (lazily recomputed) routing table for `from`.
   const RouteTable& TableFor(NodeId from) const;
 
+  /// One source node's message ledger. Send runs on the source node's own
+  /// loop, or on the global loop or in setup code, neither of which overlaps
+  /// a parallel round; so each ledger has one writer at a time and needs no
+  /// lock. A cache line of its own keeps neighbouring nodes' workers apart.
+  struct alignas(64) Ledger {
+    uint64_t txn_msgs = 0;
+    std::vector<std::pair<uint32_t, uint64_t>> per_tag;  ///< sorted by tag
+  };
+  void CountSend(const Message& msg);
+
   struct Metrics {
     explicit Metrics(sim::Stats& stats);
     sim::MetricId sent, delivered, retransmits, undeliverable;
@@ -145,13 +155,7 @@ class Network {
   ReachabilityFn reachability_fn_;
   uint64_t topology_version_ = 1;
   mutable std::vector<RouteTable> route_tables_;  ///< by source NodeId
-
-  /// track_messages accounting. Sends may run concurrently on node loops
-  /// under the parallel engine; increments commute, so the mutex is enough
-  /// to keep the totals deterministic for a given message history.
-  mutable std::mutex track_mutex_;
-  std::map<uint64_t, uint64_t> per_txn_msgs_;
-  std::map<uint32_t, uint64_t> per_tag_msgs_;
+  std::vector<Ledger> ledgers_;                   ///< by source NodeId
 };
 
 }  // namespace encompass::net

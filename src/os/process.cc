@@ -42,10 +42,8 @@ void Process::StampTrace(net::Message& msg) {
   const uint64_t transid =
       current_transid_ != 0 ? current_transid_ : active_trace_.transid;
   if (transid == 0) return;
-  sim::TraceLog& log = sim()->GetTrace();
-  if (!log.enabled()) return;
   msg.trace.transid = transid;
-  msg.trace.span = log.NewSpan(id().node);
+  msg.trace.span = sim()->GetTrace().NewSpan(id().node);
   sim()->RecordTrace(sim::TraceEventKind::kMsgSend, msg.trace, id().node,
                      msg.tag, msg.dst.node, active_trace_.span);
 }

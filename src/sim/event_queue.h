@@ -105,15 +105,6 @@ class EventQueue {
   /// event key and *exec_node to its attribution. Precondition: !empty().
   EventFn PopNext(EventKey* key, uint16_t* exec_node);
 
-  /// Back-compat pop that only reports the firing time.
-  EventFn PopNext(SimTime* when) {
-    EventKey key;
-    uint16_t exec_node;
-    EventFn fn = PopNext(&key, &exec_node);
-    *when = key.time;
-    return fn;
-  }
-
  private:
   static constexpr uint32_t kGenMask = (1u << kGenBits) - 1;
 

@@ -81,9 +81,6 @@ class TraceLog {
  public:
   explicit TraceLog(size_t capacity = 1 << 16);
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Issues the next causal span id for work happening on `node`. Span ids
   /// are `(node << 24) | per-node counter`: each node allocates from its own
   /// counter, so the ids a node hands out depend only on that node's local
@@ -95,8 +92,6 @@ class TraceLog {
     if (node >= span_counters_.size()) span_counters_.resize(node + 1, 0);
     return (static_cast<uint32_t>(node & 0xff) << 24) | ++span_counters_[node];
   }
-  /// Span for node-less (global) work; kept for tests and tools.
-  uint32_t NewSpan() { return NewSpan(0); }
 
   /// Appends `e` to the executing loop's shard (shard 0 outside event
   /// execution), stamped with the running event's key.
@@ -151,7 +146,6 @@ class TraceLog {
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t capacity_;
   std::vector<uint32_t> span_counters_;  // per-node, see NewSpan
-  bool enabled_ = true;
 };
 
 }  // namespace encompass::sim

@@ -207,35 +207,23 @@ void TmpProcess::SetState(TxnEntry* txn, TxnState to) {
         static_cast<uint32_t>(txn->state), static_cast<uint32_t>(to));
   const TxnState from = txn->state;
   txn->state = to;
-  // Blocked-lock accounting: how long a non-home participant held its locks
-  // in-doubt (ending). The bench compares this between 2PC and Paxos Commit.
-  // The timestamp is kept unconditionally — ResolveIndoubts uses it to
-  // grace-gate acceptor escalation — but the histogram stays knob-gated so
-  // default deployments keep byte-identical stats snapshots.
-  if (!txn->is_home) {
-    if (to == TxnState::kEnding && txn->indoubt_since == 0) {
-      txn->indoubt_since = sim()->Now();
-    } else if (from == TxnState::kEnding && txn->indoubt_since != 0) {
-      if (config_.track_indoubt_hold) {
-        stats().Record(m_.indoubt_hold_us,
-                       static_cast<int64_t>(sim()->Now() - txn->indoubt_since));
-      }
-      txn->indoubt_since = 0;
+  // The in-doubt clock: when this entry entered kEnding. A non-home
+  // participant's window is how long it held its locks in-doubt
+  // (tmf.indoubt_hold_us; MaybePaxosEscalate also grace-gates acceptor
+  // escalation on it). At the home it is END-TRANSACTION to the commit point
+  // (tmf.commit_latency_us): Paxos pays its acceptor round trip here, 2PC
+  // its MAT force. A home kEnding exit to any other state (abort) clears
+  // without recording.
+  if (to == TxnState::kEnding && txn->indoubt_since == 0) {
+    txn->indoubt_since = sim()->Now();
+  } else if (from == TxnState::kEnding && txn->indoubt_since != 0) {
+    const auto held = static_cast<int64_t>(sim()->Now() - txn->indoubt_since);
+    if (!txn->is_home) {
+      stats().Record(m_.indoubt_hold_us, held);
+    } else if (to == TxnState::kEnded) {
+      stats().Record(m_.commit_latency_us, held);
     }
-  }
-  // Commit latency at the home TMP: END received (kEnding) to commit point
-  // (kEnded). Paxos pays its acceptor round trip here; 2PC its MAT force.
-  // A kEnding exit to any other state (abort) clears without recording.
-  if (config_.track_commit_latency && txn->is_home) {
-    if (to == TxnState::kEnding && txn->indoubt_since == 0) {
-      txn->indoubt_since = sim()->Now();
-    } else if (from == TxnState::kEnding && txn->indoubt_since != 0) {
-      if (to == TxnState::kEnded) {
-        stats().Record(m_.commit_latency_us,
-                       static_cast<int64_t>(sim()->Now() - txn->indoubt_since));
-      }
-      txn->indoubt_since = 0;
-    }
+    txn->indoubt_since = 0;
   }
   // State changes are broadcast to every processor within the node,
   // regardless of participation (cheap and reliable over the IPC bus).

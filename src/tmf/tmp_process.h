@@ -122,17 +122,6 @@ struct TmpConfig {
   /// Orphan-sweep cadence handed to the CommitAcceptor pairs by the
   /// deployment (0 disables the sweep).
   SimDuration acceptor_sweep_interval = Seconds(1);
-  /// Record how long non-home participants keep locks in-doubt (the
-  /// `tmf.indoubt_hold_us` histogram). Off by default so deployments that
-  /// don't ask for it keep byte-identical stats snapshots; the chaos
-  /// campaign turns it on for both protocols to compare blocked-lock time.
-  bool track_indoubt_hold = false;
-  /// Record END-TRANSACTION-to-commit-point latency at the home TMP (the
-  /// `tmf.commit_latency_us` histogram). Off by default for the same
-  /// byte-identical-snapshot reason as `track_indoubt_hold`; the chaos
-  /// campaign and BENCH_e12 turn it on to price Paxos Commit's extra
-  /// acceptor round trip against 2PC's MAT force.
-  bool track_commit_latency = false;
 };
 
 /// The TMP pair.

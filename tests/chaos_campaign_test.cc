@@ -131,13 +131,17 @@ TEST(ChaosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
         << "workers=" << workers;
     EXPECT_EQ(r.faults_fired, oracle.faults_fired) << "workers=" << workers;
     EXPECT_EQ(r.stats_dump, oracle.stats_dump) << "workers=" << workers;
+    // The message ledger sits outside the Stats dump.
+    EXPECT_EQ(r.tracked_messages, oracle.tracked_messages)
+        << "workers=" << workers;
+    EXPECT_EQ(r.msgs_per_tag, oracle.msgs_per_tag) << "workers=" << workers;
   }
 }
 
 // Engine identity beyond the 3-node golden: the no-fault campaign at 3 and
 // 16 nodes, 8 clients each, must produce byte-equal full Stats dumps at
 // every worker count — every counter and histogram, not a coarse
-// fingerprint.
+// fingerprint — and the same network message ledger.
 TEST(ChaosParallelTest, NoFaultCampaignStatsIdenticalAtAnyWorkerCount) {
   for (int nodes : {3, 16}) {
     ChaosCampaignConfig cfg;
@@ -152,12 +156,18 @@ TEST(ChaosParallelTest, NoFaultCampaignStatsIdenticalAtAnyWorkerCount) {
     EXPECT_TRUE(oracle.violations.empty()) << nodes << " nodes";
     EXPECT_GT(oracle.txns_committed, 0u) << nodes << " nodes";
     ASSERT_FALSE(oracle.stats_dump.empty());
+    EXPECT_GT(oracle.tracked_messages, 0u) << nodes << " nodes";
+    EXPECT_FALSE(oracle.msgs_per_tag.empty()) << nodes << " nodes";
     for (int workers : {2, 4}) {
       cfg.parallel_workers = workers;
       ChaosCampaignResult r = RunChaosCampaign(cfg);
       EXPECT_EQ(r.stats_dump, oracle.stats_dump)
           << nodes << " nodes, workers=" << workers;
       EXPECT_EQ(r.journal, oracle.journal)
+          << nodes << " nodes, workers=" << workers;
+      EXPECT_EQ(r.tracked_messages, oracle.tracked_messages)
+          << nodes << " nodes, workers=" << workers;
+      EXPECT_EQ(r.msgs_per_tag, oracle.msgs_per_tag)
           << nodes << " nodes, workers=" << workers;
     }
   }

@@ -123,8 +123,9 @@ TEST(EventQueueDiffTest, SlotReuseKeepsStaleIdsDead) {
     q.Cancel(dead);
     stale.push_back(dead);
     stale.push_back(keep);  // becomes stale once fired below
-    SimTime when;
-    q.PopNext(&when)();
+    EventKey key;
+    uint16_t exec_node;
+    q.PopNext(&key, &exec_node)();
   }
   EXPECT_EQ(fired, 200);
   EXPECT_TRUE(q.empty());
@@ -133,8 +134,9 @@ TEST(EventQueueDiffTest, SlotReuseKeepsStaleIdsDead) {
   EXPECT_EQ(q.size(), size_before);
   // The queue still works after the churn.
   q.Schedule(1, [&fired]() { ++fired; });
-  SimTime when;
-  q.PopNext(&when)();
+  EventKey key;
+  uint16_t exec_node;
+  q.PopNext(&key, &exec_node)();
   EXPECT_EQ(fired, 201);
 }
 

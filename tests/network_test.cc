@@ -343,5 +343,70 @@ TEST_F(NetworkTest, RouteCacheInvalidatesOnIsolateAndReconnect) {
   EXPECT_EQ(network_.topology_version(), v1);
 }
 
+// The message ledger is always on: every cross-node send counts once per
+// tag, and once in the transaction total when it carries a transid.
+TEST_F(NetworkTest, LedgerCountsCrossNodeSendsPerTagAndTransaction) {
+  AddNodes(3);
+  network_.AddLink(1, 2);
+  network_.AddLink(2, 3);
+  Message a = Make(1, 2);
+  a.transid = 5;
+  network_.Send(a);
+  Message b = Make(1, 3);  // two hops, still one send
+  b.transid = 6;
+  network_.Send(b);
+  Message c = Make(3, 2);  // no transaction: tag total only
+  c.tag = kTagApp + 1;
+  network_.Send(c);
+  sim_.Run();
+  EXPECT_EQ(delivered_[2].size(), 2u);
+  EXPECT_EQ(delivered_[3].size(), 1u);
+  EXPECT_EQ(network_.TxnMessages(), 2u);
+  EXPECT_EQ(network_.PerTagMessages(),
+            (std::map<uint32_t, uint64_t>{{kTagApp, 2}, {kTagApp + 1, 1}}));
+}
+
+TEST_F(NetworkTest, LedgerIgnoresSameNodeSends) {
+  AddNodes(2);
+  network_.AddLink(1, 2);
+  Message msg = Make(1, 1);
+  msg.transid = 5;
+  network_.Send(msg);
+  sim_.Run();
+  EXPECT_EQ(delivered_[1].size(), 1u);
+  EXPECT_EQ(network_.TxnMessages(), 0u);
+  EXPECT_TRUE(network_.PerTagMessages().empty());
+}
+
+// Counted at first send, not per retransmit: the ledger prices a protocol's
+// messages, not the loss schedule.
+TEST_F(NetworkTest, LedgerCountsRetransmittedMessageOnce) {
+  AddNodes(2);
+  network_.AddLink(1, 2);
+  network_.SetLinkUp(1, 2, false);
+  Message msg = Make(1, 2, 7);
+  msg.transid = 5;
+  network_.Send(msg);
+  sim_.After(Millis(120), [this] { network_.SetLinkUp(1, 2, true); });
+  sim_.Run();
+  ASSERT_EQ(delivered_[2].size(), 1u);
+  EXPECT_GT(sim_.GetStats().Counter("net.retransmits"), 1);
+  EXPECT_EQ(network_.TxnMessages(), 1u);
+  EXPECT_EQ(network_.PerTagMessages(),
+            (std::map<uint32_t, uint64_t>{{kTagApp, 1}}));
+}
+
+// A message without a transid stamp is attributed through its causal trace
+// context.
+TEST_F(NetworkTest, LedgerAttributesUnstampedMessageByTraceContext) {
+  AddNodes(2);
+  network_.AddLink(1, 2);
+  Message msg = Make(1, 2);
+  msg.trace.transid = 42;
+  network_.Send(msg);
+  sim_.Run();
+  EXPECT_EQ(network_.TxnMessages(), 1u);
+}
+
 }  // namespace
 }  // namespace encompass::net

@@ -78,9 +78,7 @@ void ExpectSurvived(const ChaosCampaignResult& r, uint64_t seed) {
 TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   tmf::TmpConfig cfg;
   EXPECT_EQ(cfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
-  EXPECT_FALSE(cfg.track_indoubt_hold);
   EXPECT_TRUE(cfg.acceptor_endpoints.empty());
-  EXPECT_FALSE(net::NetworkConfig{}.track_messages);
 
   tmf::NodeRecoveryConfig rcfg;
   EXPECT_EQ(rcfg.retry_backoff_cap, Seconds(8));
@@ -89,7 +87,6 @@ TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   ChaosCampaignConfig ccfg;
   EXPECT_EQ(ccfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
   EXPECT_EQ(ccfg.parallel_workers, 1);
-  EXPECT_FALSE(ccfg.track_messages);
 
   // A default (2PC) campaign must never touch the acceptor path.
   ccfg.seed = 5;

@@ -30,9 +30,10 @@ TEST(EventQueueTest, SameTimeEventsFireInScheduleOrder) {
     q.Schedule(100, [&fired, i]() { fired.push_back(i); });
   }
   while (!q.empty()) {
-    SimTime when;
-    q.PopNext(&when)();
-    EXPECT_EQ(when, 100);
+    EventKey key;
+    uint16_t exec_node;
+    q.PopNext(&key, &exec_node)();
+    EXPECT_EQ(key.time, 100);
   }
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }

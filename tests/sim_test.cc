@@ -19,8 +19,9 @@ TEST(EventQueueTest, FiresInTimeOrder) {
   q.Schedule(10, [&] { order.push_back(1); });
   q.Schedule(20, [&] { order.push_back(2); });
   while (!q.empty()) {
-    SimTime when;
-    q.PopNext(&when)();
+    EventKey key;
+    uint16_t exec_node;
+    q.PopNext(&key, &exec_node)();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -32,8 +33,9 @@ TEST(EventQueueTest, TiesFireInScheduleOrder) {
     q.Schedule(100, [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) {
-    SimTime when;
-    q.PopNext(&when)();
+    EventKey key;
+    uint16_t exec_node;
+    q.PopNext(&key, &exec_node)();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -59,8 +61,9 @@ TEST(EventQueueTest, CancelAfterFireIsTrueNoop) {
   EventQueue q;
   int fired = 0;
   EventId id = q.Schedule(10, [&] { ++fired; });
-  SimTime when;
-  q.PopNext(&when)();
+  EventKey key;
+  uint16_t exec_node;
+  q.PopNext(&key, &exec_node)();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
   // Cancelling the already-fired event must not tombstone future state or
@@ -72,7 +75,7 @@ TEST(EventQueueTest, CancelAfterFireIsTrueNoop) {
   q.Schedule(30, [&] { ++fired; });
   EXPECT_EQ(q.size(), 2u);
   EXPECT_FALSE(q.empty());
-  while (!q.empty()) q.PopNext(&when)();
+  while (!q.empty()) q.PopNext(&key, &exec_node)();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(q.size(), 0u);
 }
@@ -84,8 +87,9 @@ TEST(EventQueueTest, DoubleCancelKeepsAccountingExact) {
   q.Cancel(a);
   q.Cancel(a);  // second cancel of the same id is a no-op
   EXPECT_EQ(q.size(), 1u);
-  SimTime when;
-  q.PopNext(&when);
+  EventKey key;
+  uint16_t exec_node;
+  q.PopNext(&key, &exec_node);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.NextTime(), kNoDeadline);
 }
@@ -99,8 +103,9 @@ TEST(EventQueueTest, CancelMiddleKeepsOthers) {
   q.Cancel(mid);
   EXPECT_EQ(q.size(), 2u);
   while (!q.empty()) {
-    SimTime when;
-    q.PopNext(&when)();
+    EventKey key;
+    uint16_t exec_node;
+    q.PopNext(&key, &exec_node)();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
@@ -374,7 +379,7 @@ TEST(TraceLogTest, RecordAndDumpPerTransaction) {
   TraceEvent e;
   e.time = 5;
   e.transid = 42;
-  e.span = log.NewSpan();
+  e.span = log.NewSpan(0);
   e.kind = TraceEventKind::kMsgSend;
   e.node = 1;
   e.a = 7;
@@ -417,19 +422,13 @@ TEST(TraceLogTest, RingOverwritesOldestAndCountsDropped) {
   EXPECT_TRUE(log.Events(6).empty());
 }
 
-TEST(TraceLogTest, DisabledLogRecordsNothing) {
-  TraceLog log;
-  log.set_enabled(false);
+TEST(TraceLogTest, InactiveContextRecordsNothing) {
   Simulation sim;
-  sim.GetTrace().set_enabled(false);
-  TraceContext ctx{42, 1};
-  sim.RecordTrace(TraceEventKind::kMsgSend, ctx, 1);
-  EXPECT_EQ(sim.GetTrace().size(), 0u);
-  sim.GetTrace().set_enabled(true);
-  sim.RecordTrace(TraceEventKind::kMsgSend, ctx, 1);
-  EXPECT_EQ(sim.GetTrace().size(), 1u);
-  // Inactive contexts (transid 0) never record.
+  // Inactive contexts (transid 0) never record, whatever their span.
   sim.RecordTrace(TraceEventKind::kMsgSend, TraceContext{}, 1);
+  sim.RecordTrace(TraceEventKind::kMsgSend, TraceContext{0, 7}, 1);
+  EXPECT_EQ(sim.GetTrace().size(), 0u);
+  sim.RecordTrace(TraceEventKind::kMsgSend, TraceContext{42, 1}, 1);
   EXPECT_EQ(sim.GetTrace().size(), 1u);
 }
 
